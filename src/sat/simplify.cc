@@ -91,7 +91,11 @@ class Simplifier
 bool
 Solver::simplify(const SimplifyConfig &cfg)
 {
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
+    // Settle a pending replay against the stack its model was found
+    // under, so the variables eliminated below keep their search values.
+    if (modelStale)
+        reconstructModel();
     // Simplification rewrites the shared variable prefix; it must happen
     // before the solver joins a clause-bank family, where the prefix is
     // contractually identical across members.

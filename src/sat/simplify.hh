@@ -18,12 +18,12 @@
  * variables the outside world refers to — relation-tuple cell variables,
  * activation-group selectors, anything the caller may later assume, pin,
  * or read back — must be frozen (Solver::setFrozen) and are never
- * eliminated. Pure Tseitin internals stay eliminable; after a Sat answer
- * the solver replays the extension stack so modelValue() is total and
- * checkModel() also verifies the eliminated clauses. Everything is
- * processed in deterministic (index) order, so identical solvers
- * simplify identically — the property cross-shard clause sharing and the
- * suite byte-identity contract both rely on.
+ * eliminated. Pure Tseitin internals stay eliminable; the first read of
+ * an eliminated variable after a Sat answer replays the extension stack,
+ * so modelValue() is total and checkModel() also verifies the eliminated
+ * clauses. Everything is processed in deterministic (index) order, so
+ * identical solvers simplify identically — the property cross-shard
+ * clause sharing and the suite byte-identity contract both rely on.
  */
 
 #ifndef LTS_SAT_SIMPLIFY_HH

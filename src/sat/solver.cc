@@ -128,7 +128,7 @@ Solver::addClause(Group g, Clause lits)
 bool
 Solver::addClauseInternal(Clause lits, Group group)
 {
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
     if (!ok)
         return false;
 
@@ -223,10 +223,11 @@ void
 Solver::release(Group g)
 {
     assert(g >= 0 && g < static_cast<Group>(groups.size()));
-    assert(decisionLevel() == 0);
     auto &info = groups[g];
     if (info.releasedFlag)
         return;
+    // Kept assumption levels may rest on the clauses about to go.
+    cancelUntil(0);
     info.releasedFlag = true;
     statsData.releasedGroups++;
 
@@ -621,7 +622,7 @@ Solver::reduceDB()
 void
 Solver::reduceLearnedClauses()
 {
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
     reduceDB();
 }
 
@@ -739,12 +740,24 @@ Solver::solve()
 SolveResult
 Solver::solve(const std::vector<Lit> &assumptions)
 {
+    statsData.solves++;
     conflict.clear();
     hitBudget = false;
     if (!ok) {
         lastResult = SolveResult::Unsat;
         return lastResult;
     }
+    // Reuse the levels the last call kept: level i+1 holds assumption i,
+    // so every level within the common prefix of the old and the new
+    // assumptions is exactly what re-assuming that prefix would build.
+    // Search resumes above it as if it had just decided the prefix.
+    int kept = 0;
+    int reusable = std::min(decisionLevel(),
+                            static_cast<int>(assumptions.size()));
+    while (kept < reusable && assumptionsVec[kept] == assumptions[kept])
+        kept++;
+    cancelUntil(kept);
+    statsData.keptLevels += static_cast<uint64_t>(kept);
     assumptionsVec = assumptions;
     maxLearnts = std::max(static_cast<double>(numProblemClauses) / 3.0,
                           2000.0);
@@ -764,12 +777,16 @@ Solver::solve(const std::vector<Lit> &assumptions)
         status = search(static_cast<int64_t>(base));
         curr_restarts++;
     }
-    cancelUntil(0);
-    assumptionsVec.clear();
+    // Keep the assumption levels for the next call; free decisions go.
+    // A bank import needs the root at the next call's first restart
+    // boundary anyway, and an inconsistent solver never searches again.
+    cancelUntil(bank || !ok ? 0 : static_cast<int>(assumptionsVec.size()));
     if (status == LBool::True) {
         lastResult = SolveResult::Sat;
         haveModel = true;
-        reconstructModel();
+        // Eliminated variables are Undef in the copied assignment; they
+        // are reconstructed on first read (modelValue / checkModel).
+        modelStale = !elimStack.empty();
         assert(checkModel() && "model violates a problem clause");
     } else if (status == LBool::False) {
         lastResult = SolveResult::Unsat;
@@ -780,8 +797,10 @@ Solver::solve(const std::vector<Lit> &assumptions)
 }
 
 void
-Solver::reconstructModel()
+Solver::reconstructModel() const
 {
+    modelStale = false;
+    statsData.modelReplays++;
     // Replay the elimination stack in reverse: a record's clauses never
     // mention variables eliminated before it (elimination removed those
     // clauses from the formula first), so by the time a record is
@@ -819,7 +838,7 @@ Solver::reconstructModel()
 void
 Solver::connectBank(ClauseBank &shared, int family, Var shared_var_limit)
 {
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
     assert(shared_var_limit >= 0 && shared_var_limit <= numVars());
     bank = &shared;
     bankFamily = family;
@@ -851,7 +870,7 @@ Solver::importSharedClauses()
 {
     if (!bank)
         return ok;
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
     std::vector<ClauseBank::Entry> fresh;
     bank->fetch(bankFamily, bankProducer, bankCursor, fresh);
     for (const ClauseBank::Entry &entry : fresh) {
@@ -905,7 +924,7 @@ Solver::importSharedClauses()
 void
 Solver::setProof(DratWriter *writer)
 {
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
     proof = writer;
     if (!proof)
         return;
@@ -949,7 +968,7 @@ Solver::proofAddUnit(Lit l)
 bool
 Solver::rupImpliedAtRoot(const std::vector<Lit> &lits)
 {
-    assert(decisionLevel() == 0);
+    cancelUntil(0);
     // Trial level: assert the clause's negation, propagate, and expect
     // a conflict. The trail is rolled back either way; only phase
     // saving and watch order are perturbed, neither of which affects
@@ -989,6 +1008,8 @@ Solver::checkModel() const
     // vacuous success; haveModel distinguishes "never solved" from that.
     if (lastResult != SolveResult::Sat || !haveModel)
         return false;
+    if (modelStale)
+        reconstructModel();
     for (const auto &c : clauses) {
         if (c.deleted || c.learned)
             continue;

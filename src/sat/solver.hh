@@ -7,7 +7,8 @@
  * architecture: two-watched-literal unit propagation, first-UIP conflict
  * analysis with recursive clause minimization, VSIDS decision heuristics
  * with phase saving, Luby-sequence restarts, LBD-aware learned-clause
- * deletion, and incremental solving under assumptions.
+ * deletion, and incremental solving under assumptions whose decision
+ * levels carry over between calls.
  *
  * The solver is built for *retractable* incremental use: clauses may be
  * added between solve() calls (how the synthesizer's enumeration loop
@@ -51,6 +52,9 @@ struct SolverStats
     uint64_t strengthenedLits = 0; ///< literals removed by self-subsumption
     uint64_t importedClauses = 0; ///< clauses adopted from a ClauseBank
     uint64_t exportedClauses = 0; ///< learnt clauses published to the bank
+    uint64_t solves = 0;          ///< solve() calls
+    uint64_t modelReplays = 0;    ///< lazy replays of the elimination stack
+    uint64_t keptLevels = 0;      ///< assumption levels reused across calls
 };
 
 /**
@@ -165,7 +169,8 @@ class Solver
     /**
      * Whether simplify() eliminated @p v. Eliminated variables occur in
      * no live clause and must not appear in clauses, assumptions, or
-     * groups added later; modelValue() stays total via reconstruction.
+     * groups added later; modelValue() stays total via reconstruction,
+     * which runs on the first read of an eliminated variable.
      */
     bool isEliminated(Var v) const { return elimFlags[v] != 0; }
 
@@ -175,8 +180,9 @@ class Solver
      * variable elimination over the live *ungrouped* problem clauses.
      * Grouped clauses and every variable occurring in one are left
      * untouched so retractable layers stay retractable; learnt clauses
-     * are dropped (they are re-derivable). Must be called at decision
-     * level 0; deterministic, so identical solvers simplify identically.
+     * are dropped (they are re-derivable). Drops the assumption levels
+     * kept from the last solve() and settles a pending model replay
+     * first; deterministic, so identical solvers simplify identically.
      * Returns false when simplification proves the formula unsatisfiable.
      */
     bool simplify(const SimplifyConfig &cfg = SimplifyConfig());
@@ -246,21 +252,41 @@ class Solver
 
     /**
      * Solve under the given assumption literals. The assumptions hold
-     * only for this call.
+     * only for this call, but their decision levels outlive it: on
+     * return the solver keeps level i+1 (assumption i and its
+     * propagations) for every assumption it reached, and the next call
+     * backtracks only to the longest common prefix of the two assumption
+     * vectors. A caller that extends the previous vector by one literal
+     * pays only for that literal's propagation. Every mutator that needs
+     * the root (clause additions, release, simplify, ...) drops the kept
+     * levels first; a solver connected to a clause bank, or one found
+     * inconsistent, returns at level 0. Reuse never changes an answer.
      */
     SolveResult solve(const std::vector<Lit> &assumptions);
 
     /** True once the formula is known unsatisfiable regardless of input. */
     bool inConflict() const { return !ok; }
 
-    /** Value of @p v in the most recent satisfying model. */
-    bool modelValue(Var v) const { return model[v] == LBool::True; }
+    /**
+     * Value of @p v in the most recent satisfying model. Values of
+     * eliminated variables are reconstructed lazily: the first such read
+     * after a Sat answer replays the elimination stack once (counted in
+     * SolverStats::modelReplays). Reading only frozen variables, as
+     * relation-cell extraction does, never pays for the replay.
+     */
+    bool
+    modelValue(Var v) const
+    {
+        if (modelStale && elimFlags[v])
+            reconstructModel();
+        return model[v] == LBool::True;
+    }
 
     /** Value of @p l in the most recent satisfying model. */
     bool
     modelValue(Lit l) const
     {
-        bool v = model[l.var()] == LBool::True;
+        bool v = modelValue(l.var());
         return l.sign() ? !v : v;
     }
 
@@ -290,11 +316,13 @@ class Solver
 
     /**
      * Verify the most recent satisfying model: every live problem clause
-     * (including the activation-literal guard of grouped clauses) must
-     * contain a true literal. Only meaningful after solve() returned
-     * SolveResult::Sat; debug builds assert this after every Sat answer,
-     * so an unsound simplification or watch bug fails loudly at its
-     * source instead of corrupting synthesis output downstream.
+     * (including the activation-literal guard of grouped clauses) and
+     * every clause removed by variable elimination must contain a true
+     * literal; a pending model replay is settled first. Only meaningful
+     * after solve() returned SolveResult::Sat; builds with assertions
+     * enabled assert this after every Sat answer (so they replay
+     * eagerly), and an unsound simplification or watch bug fails loudly
+     * at its source instead of corrupting synthesis output downstream.
      */
     bool checkModel() const;
 
@@ -341,7 +369,7 @@ class Solver
     void cancelUntil(int level);
 
     // --- simplification & sharing support --------------------------------
-    void reconstructModel();
+    void reconstructModel() const;
     bool importSharedClauses();
     void maybeExportLearnt(const std::vector<Lit> &lits, int lbd);
 
@@ -382,7 +410,11 @@ class Solver
     std::vector<std::vector<ClauseRef>> watches; // indexed by Lit::index()
 
     std::vector<LBool> assigns;
-    std::vector<LBool> model;
+    /** The last satisfying assignment. Mutable together with modelStale:
+     *  const readers settle a pending reconstruction on demand. */
+    mutable std::vector<LBool> model;
+    /** model's eliminated variables await reconstructModel(). */
+    mutable bool modelStale = false;
     std::vector<bool> polarity;  // saved phases
     std::vector<int> levels;
     std::vector<ClauseRef> reasons;
@@ -394,6 +426,8 @@ class Solver
     std::vector<int> heap;       // variable max-heap by activity
     std::vector<int> heapIndex;  // var -> position in heap, -1 if absent
 
+    /** Assumptions of the current (or, between calls, the last) solve();
+     *  decision level i+1 holds assumptionsVec[i] for every kept level. */
     std::vector<Lit> assumptionsVec;
     std::vector<Lit> conflict;
 
@@ -407,7 +441,8 @@ class Solver
     // --- simplification state ---------------------------------------------
     /** Clauses removed by variable elimination, in elimination order;
      *  replayed in reverse by reconstructModel() so eliminated variables
-     *  get model values satisfying them. */
+     *  get model values satisfying them. simplify() settles a stale
+     *  model before pushing, so a replay never mixes models. */
     struct ElimRecord
     {
         Var v;
@@ -444,7 +479,8 @@ class Solver
     SolveResult lastResult = SolveResult::Sat;
     bool haveModel = false;
 
-    SolverStats statsData;
+    /** Mutable for modelReplays, counted by const model readers. */
+    mutable SolverStats statsData;
 };
 
 } // namespace lts::sat

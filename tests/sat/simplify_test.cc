@@ -196,6 +196,114 @@ TEST(SimplifyTest, AssumptionsOnFrozenVarsAfterElimination)
     }
 }
 
+/**
+ * Expected SolverStats::modelReplays. Builds with assertions model-check
+ * every Sat answer inside solve(), which settles each replay eagerly.
+ */
+uint64_t
+replaysExpected(uint64_t lazy, uint64_t sat_answers)
+{
+#ifdef NDEBUG
+    (void)sat_answers;
+    return lazy;
+#else
+    (void)lazy;
+    return sat_answers;
+#endif
+}
+
+/** Whether the solver's current model satisfies every clause of @p cnf. */
+bool
+modelSatisfies(const Solver &s, const std::vector<Clause> &cnf)
+{
+    for (const Clause &c : cnf) {
+        if (std::none_of(c.begin(), c.end(),
+                         [&](Lit l) { return s.modelValue(l); }))
+            return false;
+    }
+    return true;
+}
+
+TEST(SimplifyTest, ModelReplayWaitsForTheFirstEliminatedRead)
+{
+    // y = a & b and z = y | c over frozen inputs; y and z are eliminated.
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar();
+    Var y = s.newVar(), z = s.newVar();
+    for (Var v : {a, b, c})
+        s.setFrozen(v);
+    std::vector<Clause> original = {
+        {Lit::neg(y), Lit::pos(a)},
+        {Lit::neg(y), Lit::pos(b)},
+        {Lit::pos(y), Lit::neg(a), Lit::neg(b)},
+        {Lit::neg(z), Lit::pos(y), Lit::pos(c)},
+        {Lit::pos(z), Lit::neg(y)},
+        {Lit::pos(z), Lit::neg(c)},
+    };
+    for (const Clause &cl : original)
+        s.addClause(cl);
+    ASSERT_TRUE(s.simplify());
+    ASSERT_TRUE(s.isEliminated(y));
+    ASSERT_TRUE(s.isEliminated(z));
+
+    // Reading only frozen variables never replays the stack.
+    ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(b)}), SolveResult::Sat);
+    EXPECT_TRUE(s.modelValue(a));
+    EXPECT_TRUE(s.modelValue(b));
+    EXPECT_EQ(s.stats().modelReplays, replaysExpected(0, 1));
+
+    // The second answer's first eliminated read replays once, against
+    // the second model, not the first.
+    ASSERT_EQ(s.solve({Lit::neg(a), Lit::neg(c)}), SolveResult::Sat);
+    EXPECT_FALSE(s.modelValue(y));
+    EXPECT_FALSE(s.modelValue(z));
+    EXPECT_EQ(s.stats().modelReplays, replaysExpected(1, 2));
+    EXPECT_TRUE(modelSatisfies(s, original));
+    EXPECT_TRUE(s.checkModel());
+    EXPECT_EQ(s.stats().modelReplays, replaysExpected(1, 2));
+}
+
+TEST(SimplifyTest, SimplifyKeepsTheModelFoundBeforeIt)
+{
+    // A first pass eliminates y = a & b, so the next Sat answer leaves a
+    // replay pending. A second pass then eliminates w (a -> w -> c),
+    // which that answer set true although false would do too. The
+    // replay must be settled before the pass: w keeps its search value
+    // instead of the one a later replay would reconstruct.
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar(), y = s.newVar();
+    for (Var v : {a, b, c})
+        s.setFrozen(v);
+    std::vector<Clause> original = {
+        {Lit::neg(y), Lit::pos(a)},
+        {Lit::neg(y), Lit::pos(b)},
+        {Lit::pos(y), Lit::neg(a), Lit::neg(b)},
+    };
+    for (const Clause &cl : original)
+        s.addClause(cl);
+    ASSERT_TRUE(s.simplify());
+    ASSERT_TRUE(s.isEliminated(y));
+
+    Var w = s.newVar();
+    std::vector<Clause> later = {
+        {Lit::pos(w), Lit::neg(a)},
+        {Lit::neg(w), Lit::pos(c)},
+    };
+    for (const Clause &cl : later)
+        s.addClause(cl);
+    original.insert(original.end(), later.begin(), later.end());
+
+    ASSERT_EQ(s.solve({Lit::neg(a), Lit::pos(b), Lit::pos(c), Lit::pos(w)}),
+              SolveResult::Sat);
+    ASSERT_TRUE(s.simplify());
+    ASSERT_TRUE(s.isEliminated(w));
+    EXPECT_TRUE(s.modelValue(w));
+    EXPECT_FALSE(s.modelValue(y));
+    EXPECT_TRUE(modelSatisfies(s, original));
+    EXPECT_TRUE(s.checkModel());
+    EXPECT_EQ(s.stats().modelReplays, replaysExpected(1, 1));
+}
+
 TEST(SimplifyTest, RandomFormulasKeepTheirProjectedModelSets)
 {
     // The contract the synthesizer relies on: over the frozen

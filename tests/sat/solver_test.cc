@@ -520,6 +520,166 @@ TEST(SolverTest, ReduceDBKeepsGlueAndBinaryClauses)
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
+TEST(SolverTest, TrailReuseAgreesWithFreshSolver)
+{
+    // solve() keeps the levels of the assumptions it reached and the
+    // next call backtracks only to the common prefix. Drive one solver
+    // through random operations — solves whose assumptions share a
+    // random prefix with the previous call, interleaved with permanent
+    // and grouped clause additions, releases and conflict budgets — and
+    // check every answer against a fresh solver given the same live
+    // clauses and assumptions.
+    struct LiveGroup
+    {
+        Group g;
+        std::vector<Clause> clauses; // without the guard literal
+        bool released = false;
+    };
+    uint64_t kept_levels = 0;
+    int sat_answers = 0, unsat_answers = 0;
+    for (uint32_t seed = 1; seed <= 12; seed++) {
+        std::mt19937 rng(seed);
+        const int num_vars = 6 + static_cast<int>(rng() % 7); // 6..12
+        auto randomClause = [&](int len) {
+            Clause c;
+            for (int l = 0; l < len; l++)
+                c.push_back(Lit(static_cast<Var>(rng() % num_vars), rng() & 1));
+            return c;
+        };
+
+        Solver s;
+        for (int v = 0; v < num_vars; v++)
+            s.newVar();
+        std::vector<Clause> permanent;
+        std::vector<LiveGroup> groups;
+        for (int i = 0; i < num_vars; i++) {
+            Clause c = randomClause(3);
+            permanent.push_back(c);
+            s.addClause(c);
+        }
+
+        // A fresh solver holding exactly s's live constraints: the
+        // permanent clauses, each unreleased group's clauses with their
+        // guard, and the false pin of each released selector.
+        auto fresh = [&](Solver &f) {
+            for (int v = 0; v < s.numVars(); v++)
+                f.newVar();
+            for (const Clause &c : permanent)
+                f.addClause(c);
+            for (const LiveGroup &lg : groups) {
+                Lit guard = ~s.groupLit(lg.g);
+                if (lg.released) {
+                    f.addClause({guard});
+                    continue;
+                }
+                for (Clause c : lg.clauses) {
+                    c.push_back(guard);
+                    f.addClause(c);
+                }
+            }
+        };
+
+        std::vector<Lit> prev;
+        for (int op = 0; op < 200; op++) {
+            int kind = static_cast<int>(rng() % 20);
+            if (kind < 2) {
+                Clause c = randomClause(3);
+                permanent.push_back(c);
+                s.addClause(c);
+            } else if (kind < 4) {
+                LiveGroup lg;
+                lg.g = s.newGroup();
+                lg.clauses.push_back(randomClause(1 + rng() % 2));
+                s.addClause(lg.g, lg.clauses.back());
+                groups.push_back(lg);
+            } else if (kind < 5 && !groups.empty()) {
+                LiveGroup &lg = groups[rng() % groups.size()];
+                if (!lg.released) {
+                    lg.clauses.push_back(randomClause(1 + rng() % 3));
+                    s.addClause(lg.g, lg.clauses.back());
+                }
+            } else if (kind < 6 && !groups.empty()) {
+                LiveGroup &lg = groups[rng() % groups.size()];
+                s.release(lg.g);
+                lg.released = true;
+            } else if (kind < 7) {
+                s.setConflictBudget(rng() % 3 == 0 ? 1 + rng() % 4 : 0);
+            } else {
+                std::vector<Lit> assume(
+                    prev.begin(), prev.begin() + rng() % (prev.size() + 1));
+                int extra = static_cast<int>(rng() % 4);
+                for (int i = 0; i < extra; i++) {
+                    if (!groups.empty() && rng() % 3 == 0)
+                        assume.push_back(
+                            s.groupLit(groups[rng() % groups.size()].g));
+                    else
+                        assume.push_back(Lit(
+                            static_cast<Var>(rng() % num_vars), rng() & 1));
+                }
+                prev = assume;
+
+                SolveResult got = s.solve(assume);
+                if (got == SolveResult::BudgetExhausted)
+                    continue;
+                Solver oracle;
+                fresh(oracle);
+                ASSERT_EQ(got, oracle.solve(assume))
+                    << "seed " << seed << " op " << op;
+                if (got == SolveResult::Sat) {
+                    sat_answers++;
+                    ASSERT_TRUE(s.checkModel())
+                        << "seed " << seed << " op " << op;
+                    for (Lit a : assume)
+                        ASSERT_TRUE(s.modelValue(a))
+                            << "seed " << seed << " op " << op;
+                    continue;
+                }
+                unsat_answers++;
+                std::vector<Lit> core;
+                for (Lit l : s.conflictAssumptions()) {
+                    ASSERT_NE(std::find(assume.begin(), assume.end(), ~l),
+                              assume.end())
+                        << "seed " << seed << " op " << op;
+                    core.push_back(~l);
+                }
+                Solver core_check;
+                fresh(core_check);
+                ASSERT_EQ(core_check.solve(core), SolveResult::Unsat)
+                    << "seed " << seed << " op " << op;
+            }
+        }
+        kept_levels += s.stats().keptLevels;
+    }
+    // Both answers occur, and the reuse path actually ran.
+    EXPECT_GT(sat_answers, 100);
+    EXPECT_GT(unsat_answers, 100);
+    EXPECT_GT(kept_levels, 0u);
+}
+
+TEST(SolverTest, AssumptionLevelsSurviveOnlyTheCommonPrefix)
+{
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar(), d = s.newVar();
+    ASSERT_TRUE(s.addClause({Lit::neg(a), Lit::pos(b)}));
+    ASSERT_TRUE(s.addClause({Lit::neg(c), Lit::neg(d)}));
+    ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(c)}), SolveResult::Sat);
+    EXPECT_EQ(s.stats().keptLevels, 0u);
+    // One literal longer: both levels are reused.
+    ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(c), Lit::neg(b)}),
+              SolveResult::Unsat);
+    EXPECT_EQ(s.stats().keptLevels, 2u);
+    // Diverging at the second literal keeps only the first level.
+    ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(d)}), SolveResult::Sat);
+    EXPECT_EQ(s.stats().keptLevels, 3u);
+    EXPECT_TRUE(s.modelValue(b));
+    EXPECT_FALSE(s.modelValue(c));
+    // A clause addition drops every kept level before it lands.
+    ASSERT_TRUE(s.addClause({Lit::neg(d)}));
+    ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(d)}), SolveResult::Unsat);
+    EXPECT_EQ(s.stats().keptLevels, 3u);
+    EXPECT_EQ(s.stats().solves, 4u);
+}
+
 TEST(LitTest, EncodingRoundTrips)
 {
     Lit p = Lit::pos(7);
