@@ -158,11 +158,10 @@ aggregateCpuSeconds(const std::vector<synth::Suite> &suites)
 /** One engine-mode measurement for the BENCH_*.json comparison. */
 struct ModeRun
 {
-    std::string mode; ///< "incremental"/"from-scratch"; "-nosbp",
-                      ///< "-nosimp", "-noshare" suffixed when disabled
+    std::string mode; ///< "incremental", with "-nosbp" / "-nosimp"
+                      ///< suffixed when disabled (see modeName)
     bool sbp = true;  ///< symmetry breaking was enabled for this run
-    bool simplify = true;     ///< SatELite-style preprocessing was enabled
-    bool shareClauses = true; ///< cross-shard learnt-clause sharing enabled
+    bool simplify = true; ///< SatELite-style preprocessing was enabled
     double wallSeconds = 0;
     double cpuSeconds = 0;
     uint64_t jobsQueued = 0;
@@ -173,8 +172,6 @@ struct ModeRun
     uint64_t sbpClauses = 0;    ///< SBP clauses emitted, all solvers
     uint64_t eliminatedVars = 0;  ///< vars removed by simplify, all solvers
     uint64_t subsumedClauses = 0; ///< clauses removed by simplify
-    uint64_t importedClauses = 0; ///< learnt clauses adopted from siblings
-    uint64_t exportedClauses = 0; ///< learnt clauses published to siblings
     std::map<int, uint64_t> instancesBySize;  ///< union suite, size -> models
     std::map<int, int> keptBySize;            ///< union suite, size -> tests
     std::map<int, uint64_t> sbpClausesBySize; ///< union suite, size -> clauses
@@ -218,6 +215,18 @@ querySuites(const mm::Model &model, const synth::SynthOptions &opt,
     return std::move(result.suites);
 }
 
+/** The BENCH_*.json mode label of a run under @p opt. */
+inline std::string
+modeName(const synth::SynthOptions &opt)
+{
+    std::string mode = "incremental";
+    if (!opt.symmetryBreaking)
+        mode += "-nosbp";
+    if (!opt.simplify)
+        mode += "-nosimp";
+    return mode;
+}
+
 /**
  * Run one full synthesis under one engine mode and record the
  * solver-work and runtime numbers the BENCH_*.json files report. Counts
@@ -225,26 +234,18 @@ querySuites(const mm::Model &model, const synth::SynthOptions &opt,
  * The suites go to *out when the caller also wants the figure tables.
  */
 inline ModeRun
-measureMode(const mm::Model &model, synth::SynthOptions opt, bool incremental,
-            bool sbp = true, std::vector<synth::Suite> *out = nullptr)
+measureMode(const mm::Model &model, synth::SynthOptions opt, bool sbp = true,
+            std::vector<synth::Suite> *out = nullptr)
 {
-    opt.incremental = incremental;
     opt.symmetryBreaking = sbp;
     Timer wall;
     synth::SuiteResult result;
     querySuites(model, opt, &result);
     const synth::SynthProgressSnapshot &progress = result.progress;
     ModeRun run;
-    run.mode = incremental ? "incremental" : "from-scratch";
-    if (!sbp)
-        run.mode += "-nosbp";
-    if (!opt.simplify)
-        run.mode += "-nosimp";
-    if (!opt.shareClauses)
-        run.mode += "-noshare";
+    run.mode = modeName(opt);
     run.sbp = sbp;
     run.simplify = opt.simplify;
-    run.shareClauses = opt.shareClauses;
     run.wallSeconds = wall.seconds();
     run.cpuSeconds = aggregateCpuSeconds(result.suites);
     run.jobsQueued = progress.jobsQueued;
@@ -255,8 +256,6 @@ measureMode(const mm::Model &model, synth::SynthOptions opt, bool incremental,
     run.sbpClauses = progress.sbpClauses;
     run.eliminatedVars = progress.eliminatedVars;
     run.subsumedClauses = progress.subsumedClauses;
-    run.importedClauses = progress.importedClauses;
-    run.exportedClauses = progress.exportedClauses;
     run.instancesBySize = result.unionSuite().instancesBySize;
     run.keptBySize = result.unionSuite().testsBySize;
     run.sbpClausesBySize = result.unionSuite().sbpClausesBySize;
@@ -316,7 +315,6 @@ writeBenchJson(const std::string &path, const std::string &bench,
                      "      \"mode\": \"%s\",\n"
                      "      \"sbp\": %s,\n"
                      "      \"simplify\": %s,\n"
-                     "      \"shareClauses\": %s,\n"
                      "      \"wallSeconds\": %.6f,\n"
                      "      \"cpuSeconds\": %.6f,\n"
                      "      \"jobsQueued\": %llu,\n"
@@ -326,12 +324,9 @@ writeBenchJson(const std::string &path, const std::string &bench,
                      "      \"sbpClauses\": %llu,\n"
                      "      \"eliminatedVars\": %llu,\n"
                      "      \"subsumedClauses\": %llu,\n"
-                     "      \"importedClauses\": %llu,\n"
-                     "      \"exportedClauses\": %llu,\n"
                      "      \"suiteDigest\": \"%s\",\n",
                      run.mode.c_str(), run.sbp ? "true" : "false",
                      run.simplify ? "true" : "false",
-                     run.shareClauses ? "true" : "false",
                      run.wallSeconds, run.cpuSeconds,
                      static_cast<unsigned long long>(run.jobsQueued),
                      static_cast<unsigned long long>(run.conflicts),
@@ -340,8 +335,6 @@ writeBenchJson(const std::string &path, const std::string &bench,
                      static_cast<unsigned long long>(run.sbpClauses),
                      static_cast<unsigned long long>(run.eliminatedVars),
                      static_cast<unsigned long long>(run.subsumedClauses),
-                     static_cast<unsigned long long>(run.importedClauses),
-                     static_cast<unsigned long long>(run.exportedClauses),
                      run.suiteDigest.c_str());
         // Every size in [min, max] is emitted with a 0 default, so a
         // baseline file from an empty trajectory still fixes the schema
@@ -397,14 +390,12 @@ writeBenchJson(const std::string &path, const std::string &bench,
  */
 struct MicroRun
 {
-    std::string scenario; ///< e.g. "simplify-on", "share-off"
+    std::string scenario; ///< e.g. "simplify-on", "simplify-off"
     double wallSeconds = 0;
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
     uint64_t eliminatedVars = 0;
     uint64_t subsumedClauses = 0;
-    uint64_t importedClauses = 0;
-    uint64_t exportedClauses = 0;
     uint64_t problemClauses = 0; ///< live problem clauses after setup
 };
 
@@ -432,8 +423,6 @@ writeMicroSatJson(const std::string &path, const std::vector<MicroRun> &runs)
                      "      \"propagations\": %llu,\n"
                      "      \"eliminatedVars\": %llu,\n"
                      "      \"subsumedClauses\": %llu,\n"
-                     "      \"importedClauses\": %llu,\n"
-                     "      \"exportedClauses\": %llu,\n"
                      "      \"problemClauses\": %llu\n"
                      "    }%s\n",
                      r.scenario.c_str(), r.wallSeconds,
@@ -441,8 +430,6 @@ writeMicroSatJson(const std::string &path, const std::vector<MicroRun> &runs)
                      static_cast<unsigned long long>(r.propagations),
                      static_cast<unsigned long long>(r.eliminatedVars),
                      static_cast<unsigned long long>(r.subsumedClauses),
-                     static_cast<unsigned long long>(r.importedClauses),
-                     static_cast<unsigned long long>(r.exportedClauses),
                      static_cast<unsigned long long>(r.problemClauses),
                      i + 1 < runs.size() ? "," : "");
     }

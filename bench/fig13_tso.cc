@@ -44,15 +44,12 @@ main(int argc, char **argv)
                   "largest size for explicit all-programs counting");
     flags.declare("bench-json", "BENCH_fig13_tso.json",
                   "machine-readable results file ('' = skip)");
-    flags.declare("compare-modes", "true",
-                  "also run the from-scratch engine and record both in "
-                  "the json file");
     flags.declare("compare-sbp", "true",
                   "also run with symmetry breaking disabled and report the "
                   "raw-instance reduction");
     flags.declare("compare-simplify", "true",
-                  "also run with simplification and clause sharing disabled "
-                  "and report the conflict reduction");
+                  "also run with simplification disabled and report the "
+                  "conflict reduction");
     flags.declare("compare-proof", "true",
                   "also run with DRAT proof logging on and report the "
                   "wall-clock overhead");
@@ -67,17 +64,11 @@ main(int argc, char **argv)
     synth::SynthOptions opt = synth::synthOptionsFromFlags(flags);
     std::vector<synth::Suite> suites;
     std::vector<bench::ModeRun> runs;
-    runs.push_back(bench::measureMode(*tso, opt, opt.incremental,
-                                      opt.symmetryBreaking, &suites));
+    runs.push_back(
+        bench::measureMode(*tso, opt, opt.symmetryBreaking, &suites));
     bench::printModeRun(runs.back(), opt.jobs);
-    if (flags.getBool("compare-modes")) {
-        runs.push_back(bench::measureMode(*tso, opt, !opt.incremental,
-                                          opt.symmetryBreaking));
-        bench::printModeRun(runs.back(), opt.jobs);
-    }
     if (flags.getBool("compare-sbp")) {
-        runs.push_back(bench::measureMode(*tso, opt, opt.incremental,
-                                          !opt.symmetryBreaking));
+        runs.push_back(bench::measureMode(*tso, opt, !opt.symmetryBreaking));
         bench::printModeRun(runs.back(), opt.jobs);
         const bench::ModeRun &base = runs.front();
         const bench::ModeRun &other = runs.back();
@@ -100,13 +91,12 @@ main(int argc, char **argv)
     if (flags.getBool("compare-simplify")) {
         synth::SynthOptions plain = opt;
         plain.simplify = false;
-        plain.shareClauses = false;
-        runs.push_back(bench::measureMode(*tso, plain, opt.incremental,
-                                          opt.symmetryBreaking));
+        runs.push_back(
+            bench::measureMode(*tso, plain, opt.symmetryBreaking));
         bench::printModeRun(runs.back(), opt.jobs);
         const bench::ModeRun &with_simp = runs.front();
         const bench::ModeRun &without_simp = runs.back();
-        std::printf("\nsimplify+sharing conflict reduction: %llu -> %llu "
+        std::printf("\nsimplify conflict reduction: %llu -> %llu "
                     "(%.2fx), suites %s\n",
                     static_cast<unsigned long long>(without_simp.conflicts),
                     static_cast<unsigned long long>(with_simp.conflicts),
@@ -127,8 +117,8 @@ main(int argc, char **argv)
                                   .string();
         }
         std::filesystem::create_directories(proved.proofDir);
-        runs.push_back(bench::measureMode(*tso, proved, opt.incremental,
-                                          opt.symmetryBreaking));
+        runs.push_back(
+            bench::measureMode(*tso, proved, opt.symmetryBreaking));
         runs.back().mode += "-proof";
         bench::printModeRun(runs.back(), opt.jobs);
         const bench::ModeRun &without_proof = runs.front();

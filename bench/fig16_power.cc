@@ -40,9 +40,6 @@ main(int argc, char **argv)
     flags.declare("arm", "true", "also run the ARMv7 variant");
     flags.declare("bench-json", "BENCH_fig16_power.json",
                   "machine-readable results file ('' = skip)");
-    flags.declare("compare-modes", "true",
-                  "also run the from-scratch engine and record both in "
-                  "the json file");
     if (!flags.parse(argc, argv))
         return 1;
     int max_size = flags.getInt("max-size");
@@ -53,14 +50,9 @@ main(int argc, char **argv)
     synth::SynthOptions opt = synth::synthOptionsFromFlags(flags);
     std::vector<synth::Suite> suites;
     std::vector<bench::ModeRun> runs;
-    runs.push_back(bench::measureMode(*power, opt, opt.incremental,
-                                      opt.symmetryBreaking, &suites));
+    runs.push_back(
+        bench::measureMode(*power, opt, opt.symmetryBreaking, &suites));
     bench::printModeRun(runs.back(), opt.jobs);
-    if (flags.getBool("compare-modes")) {
-        runs.push_back(bench::measureMode(*power, opt, !opt.incremental,
-                                          opt.symmetryBreaking));
-        bench::printModeRun(runs.back(), opt.jobs);
-    }
 
     std::printf("\nFigure 16b: tests per axiom per size bound\n");
     bench::printSuiteTable(suites, 2, max_size);

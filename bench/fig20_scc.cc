@@ -60,9 +60,6 @@ main(int argc, char **argv)
                   "size at which to look for SB+FenceSCs (0 = skip)");
     flags.declare("bench-json", "BENCH_fig20_scc.json",
                   "machine-readable results file ('' = skip)");
-    flags.declare("compare-modes", "true",
-                  "also run the from-scratch engine and record both in "
-                  "the json file");
     if (!flags.parse(argc, argv))
         return 1;
     int max_size = flags.getInt("max-size");
@@ -74,14 +71,9 @@ main(int argc, char **argv)
     synth::SynthOptions opt = synth::synthOptionsFromFlags(flags);
     std::vector<synth::Suite> suites;
     std::vector<bench::ModeRun> runs;
-    runs.push_back(bench::measureMode(*scc, opt, opt.incremental,
-                                      opt.symmetryBreaking, &suites));
+    runs.push_back(
+        bench::measureMode(*scc, opt, opt.symmetryBreaking, &suites));
     bench::printModeRun(runs.back(), opt.jobs);
-    if (flags.getBool("compare-modes")) {
-        runs.push_back(bench::measureMode(*scc, opt, !opt.incremental,
-                                          opt.symmetryBreaking));
-        bench::printModeRun(runs.back(), opt.jobs);
-    }
 
     std::printf("\nFigure 20a: tests per axiom per size bound\n");
     bench::printSuiteTable(suites, 2, max_size);

@@ -5,10 +5,10 @@
  * phase transition, and incremental model enumeration — the operations
  * the synthesizer stresses.
  *
- * After the google-benchmark suites, main() runs the simplification and
- * clause-sharing ablations and writes BENCH_micro_sat.json: the same
- * scenario solved with the feature on and off, with the solver counters
- * that explain the delta.
+ * After the google-benchmark suites, main() runs the simplification
+ * ablation and writes BENCH_micro_sat.json: the same scenario solved
+ * with simplification on and off, with the solver counters that explain
+ * the delta.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,7 +17,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/timer.hh"
-#include "sat/clausebank.hh"
 #include "sat/solver.hh"
 
 namespace
@@ -231,42 +230,6 @@ runCounterEnumeration(const char *name, bool simplify)
     return run;
 }
 
-/**
- * Clause-sharing ablation: two solvers refute the same pigeonhole
- * instance in sequence. With a bank, the first solver's exports let the
- * second skip already-paid conflicts; without one, both pay full price.
- */
-lts::bench::MicroRun
-runSharedRefutation(const char *name, bool share)
-{
-    using lts::bench::MicroRun;
-    const int holes = 7;
-    ClauseBank bank;
-    int family = bank.openFamily("ph");
-    MicroRun run;
-    run.scenario = name;
-    lts::Timer wall;
-    uint64_t conflicts = 0, props = 0, imported = 0, exported = 0;
-    for (int i = 0; i < 2; i++) {
-        Solver s;
-        addPigeonhole(s, holes);
-        if (share)
-            s.connectBank(bank, family, s.numVars());
-        s.solve();
-        conflicts += s.stats().conflicts;
-        props += s.stats().propagations;
-        imported += s.stats().importedClauses;
-        exported += s.stats().exportedClauses;
-        run.problemClauses = static_cast<uint64_t>(s.numClauses());
-    }
-    run.wallSeconds = wall.seconds();
-    run.conflicts = conflicts;
-    run.propagations = props;
-    run.importedClauses = imported;
-    run.exportedClauses = exported;
-    return run;
-}
-
 } // namespace
 
 int
@@ -281,19 +244,15 @@ main(int argc, char **argv)
     std::vector<lts::bench::MicroRun> runs = {
         runCounterEnumeration("simplify-on", true),
         runCounterEnumeration("simplify-off", false),
-        runSharedRefutation("share-on", true),
-        runSharedRefutation("share-off", false),
     };
     for (const auto &r : runs) {
         std::printf("%-14s wall %.3fs conflicts %llu propagations %llu "
-                    "elim %llu subsumed %llu shared %llu/%llu\n",
+                    "elim %llu subsumed %llu\n",
                     r.scenario.c_str(), r.wallSeconds,
                     static_cast<unsigned long long>(r.conflicts),
                     static_cast<unsigned long long>(r.propagations),
                     static_cast<unsigned long long>(r.eliminatedVars),
-                    static_cast<unsigned long long>(r.subsumedClauses),
-                    static_cast<unsigned long long>(r.exportedClauses),
-                    static_cast<unsigned long long>(r.importedClauses));
+                    static_cast<unsigned long long>(r.subsumedClauses));
     }
     lts::bench::writeMicroSatJson("BENCH_micro_sat.json", runs);
     return 0;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "sat/clausebank.hh"
-
 namespace lts::rel
 {
 
@@ -446,11 +444,6 @@ RelSolver::RelSolver(const Vocabulary &vocab, size_t universe_size)
 void
 RelSolver::addBaseFact(const FormulaPtr &f)
 {
-    // Base facts are permanent, non-definitional constraints: adding one
-    // after joining a clause-exchange family would specialize this solver
-    // away from its siblings (see connectBank). Assert the ordering.
-    assert(!solver.hasBank() &&
-           "base facts must be asserted before connectBank()");
     builder.assertTrue(enc.encodeFormula(f));
 }
 
@@ -458,13 +451,6 @@ bool
 RelSolver::simplifyBase(const sat::SimplifyConfig &cfg)
 {
     return solver.simplify(cfg);
-}
-
-void
-RelSolver::connectBank(sat::ClauseBank &bank, const std::string &family_key)
-{
-    int family = bank.openFamily(family_key);
-    solver.connectBank(bank, family, solver.numVars());
 }
 
 FactHandle

@@ -173,16 +173,6 @@ class RelSolver
     bool simplifyBase(const sat::SimplifyConfig &cfg = sat::SimplifyConfig());
 
     /**
-     * Join a learnt-clause exchange family (see sat/clausebank.hh): every
-     * solver connected under the same @p family_key must have built a
-     * byte-identical encoding — same vocabulary, universe size, base
-     * facts, and simplification — up to this call. The current variable
-     * count becomes the shared prefix; later layers/blocks stay local.
-     * Must be called before any solve and after simplifyBase.
-     */
-    void connectBank(sat::ClauseBank &bank, const std::string &family_key);
-
-    /**
      * An initially empty retractable layer. Blocking clauses added under
      * it (blockModel / blockInstance) bind only in solves that activate
      * the handle and die together when it is retracted — the enumeration

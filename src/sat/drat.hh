@@ -21,8 +21,8 @@
  *
  * Unlike bare DRAT, inputs ride inside the trace ('i' lines), so a
  * proof file checks on its own, and one trace may carry several 'u'
- * conclusions (the incremental engine concludes once per swept axiom
- * on a shared solver).
+ * conclusions (the synthesizer concludes once per axiom it sweeps over
+ * a size's shared solver).
  *
  * Two encodings share the record model: a text form ("c ltsdrat v1
  * text" header, DIMACS-style signed literals) and a compact binary

@@ -18,8 +18,8 @@
  * Determinism: clauses are visited in index order, variables in
  * ascending order, occurrence lists in registration order, and no
  * unordered container is ever iterated — two solvers holding the same
- * clauses simplify into bit-identical clause stores. Cross-shard clause
- * sharing and the suite byte-identity guarantee both depend on this.
+ * clauses simplify into bit-identical clause stores. The suite
+ * byte-identity guarantee depends on this.
  */
 
 #include <algorithm>
@@ -96,10 +96,6 @@ Solver::simplify(const SimplifyConfig &cfg)
     // under, so the variables eliminated below keep their search values.
     if (modelStale)
         reconstructModel();
-    // Simplification rewrites the shared variable prefix; it must happen
-    // before the solver joins a clause-bank family, where the prefix is
-    // contractually identical across members.
-    assert(bank == nullptr && "simplify() must run before connectBank()");
     if (!ok)
         return false;
     Simplifier pass(*this, cfg);

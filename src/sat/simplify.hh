@@ -22,8 +22,8 @@
  * an eliminated variable after a Sat answer replays the extension stack,
  * so modelValue() is total and checkModel() also verifies the eliminated
  * clauses. Everything is processed in deterministic (index) order, so
- * identical solvers simplify identically — the property cross-shard
- * clause sharing and the suite byte-identity contract both rely on.
+ * identical solvers simplify identically — the property the suite
+ * byte-identity contract relies on.
  */
 
 #ifndef LTS_SAT_SIMPLIFY_HH

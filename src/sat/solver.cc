@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "sat/clausebank.hh"
 #include "sat/drat.hh"
 
 namespace lts::sat
@@ -26,7 +25,6 @@ Solver::newVar()
     seen.push_back(0);
     frozenFlags.push_back(0);
     elimFlags.push_back(0);
-    selectorFlags.push_back(0);
     watches.emplace_back();
     watches.emplace_back();
     heapInsert(v);
@@ -142,26 +140,16 @@ Solver::addClauseInternal(Clause lits, Group group)
     // Dedupe; drop clause on tautology; drop level-0 falsified literals.
     std::vector<Lit> out;
     Lit prev;
-    bool all_shared = bank != nullptr;
     for (Lit l : lits) {
         assert(l.var() < numVars());
         assert(!elimFlags[l.var()] &&
                "clause refers to an eliminated variable");
-        all_shared = all_shared && l.var() < bankVarLimit;
         if (value(l) == LBool::True || (prev.valid() && l == ~prev))
             return true; // satisfied or tautological
         if (value(l) != LBool::False && l != prev)
             out.push_back(l);
         prev = l;
     }
-    // A permanent clause entirely over shared variables is shard-local
-    // state (e.g. a blocking clause) that siblings must not learn from:
-    // from here on this solver only imports. Grouped clauses are fine —
-    // their guard lives outside the prefix and travels with every
-    // derivation (see clausebank.hh).
-    if (all_shared && group == kNoGroup)
-        bankExportPoisoned = true;
-
     if (out.empty()) {
         ok = false;
         return false;
@@ -197,10 +185,8 @@ Solver::newGroup()
     info.selector = newVar();
     // The selector is assumed by solve() and pinned by release(): both
     // uses outlive any simplification pass, so it must never be
-    // eliminated. It is also excluded from clause sharing — a guarded
-    // clause is meaningless in a solver with different groups.
+    // eliminated.
     setFrozen(info.selector);
-    selectorFlags[info.selector] = 1;
     groups.push_back(std::move(info));
     return g;
 }
@@ -667,7 +653,6 @@ Solver::search(int64_t max_conflicts)
             int bt_level = 0;
             int lbd = 0;
             analyze(confl, learnt, bt_level, lbd);
-            maybeExportLearnt(learnt, lbd);
             // First-UIP clauses (minimization included) are derivable by
             // trivial resolution from the conflict's reason cone, hence
             // RUP against the clauses live right now.
@@ -765,22 +750,13 @@ Solver::solve(const std::vector<Lit> &assumptions)
     LBool status = LBool::Undef;
     int curr_restarts = 0;
     while (status == LBool::Undef && !hitBudget) {
-        // Restart boundary (and first descent): adopt sibling shards'
-        // learnt clauses while at decision level 0, where attaching is
-        // trivially safe. Imports can expose a root conflict.
-        if (!importSharedClauses()) {
-            status = LBool::False;
-            conflict.clear();
-            break;
-        }
         double base = luby(2.0, curr_restarts) * 100.0;
         status = search(static_cast<int64_t>(base));
         curr_restarts++;
     }
     // Keep the assumption levels for the next call; free decisions go.
-    // A bank import needs the root at the next call's first restart
-    // boundary anyway, and an inconsistent solver never searches again.
-    cancelUntil(bank || !ok ? 0 : static_cast<int>(assumptionsVec.size()));
+    // An inconsistent solver never searches again.
+    cancelUntil(!ok ? 0 : static_cast<int>(assumptionsVec.size()));
     if (status == LBool::True) {
         lastResult = SolveResult::Sat;
         haveModel = true;
@@ -836,92 +812,6 @@ Solver::reconstructModel() const
 }
 
 void
-Solver::connectBank(ClauseBank &shared, int family, Var shared_var_limit)
-{
-    cancelUntil(0);
-    assert(shared_var_limit >= 0 && shared_var_limit <= numVars());
-    bank = &shared;
-    bankFamily = family;
-    bankProducer = shared.registerProducer(family);
-    bankVarLimit = shared_var_limit;
-    bankCursor = 0;
-    bankExportPoisoned = false;
-}
-
-void
-Solver::maybeExportLearnt(const std::vector<Lit> &lits, int lbd)
-{
-    if (!bank || bankExportPoisoned)
-        return;
-    if (lits.empty() || lits.size() > bank->limits().maxLits ||
-        lbd > bank->limits().maxLbd)
-        return;
-    for (Lit l : lits) {
-        Var v = l.var();
-        if (v >= bankVarLimit || selectorFlags[v] || elimFlags[v])
-            return;
-    }
-    if (bank->publish(bankFamily, bankProducer, lits, lbd))
-        statsData.exportedClauses++;
-}
-
-bool
-Solver::importSharedClauses()
-{
-    if (!bank)
-        return ok;
-    cancelUntil(0);
-    std::vector<ClauseBank::Entry> fresh;
-    bank->fetch(bankFamily, bankProducer, bankCursor, fresh);
-    for (const ClauseBank::Entry &entry : fresh) {
-        // Root-normalize like addClauseInternal, but attach as a *learnt*
-        // clause: imports are implied, so reduceDB may drop them and
-        // checkModel must not require them.
-        std::vector<Lit> out;
-        bool satisfied = false;
-        for (Lit l : entry.lits) {
-            assert(l.var() < bankVarLimit);
-            if (elimFlags[l.var()] || value(l) == LBool::True) {
-                satisfied = true;
-                break;
-            }
-            if (value(l) != LBool::False)
-                out.push_back(l);
-        }
-        if (satisfied)
-            continue;
-        // Under a proof, an import must be re-justified locally — the
-        // trace has to stand on its own. Clauses this solver cannot
-        // re-derive by root unit propagation are skipped; they are
-        // sound (the family contract guarantees it) but unprovable
-        // here, and dropping them only costs heuristic strength.
-        if (proof && !rupImpliedAtRoot(out))
-            continue;
-        statsData.importedClauses++;
-        if (out.empty()) {
-            ok = false;
-            return false;
-        }
-        if (proof)
-            proof->addDerived(out);
-        if (out.size() == 1) {
-            uncheckedEnqueue(out[0], kNoReason);
-            if (propagate() != kNoReason) {
-                ok = false;
-                return false;
-            }
-            continue;
-        }
-        ClauseRef cref = allocClause(std::move(out), true);
-        clauses[cref].lbd = std::min(entry.lbd,
-                                     static_cast<int>(clauses[cref].lits.size()));
-        learnts.push_back(cref);
-        attachClause(cref);
-    }
-    return true;
-}
-
-void
 Solver::setProof(DratWriter *writer)
 {
     cancelUntil(0);
@@ -963,24 +853,6 @@ Solver::proofAddUnit(Lit l)
 {
     if (proof)
         proof->addDerived({l});
-}
-
-bool
-Solver::rupImpliedAtRoot(const std::vector<Lit> &lits)
-{
-    cancelUntil(0);
-    // Trial level: assert the clause's negation, propagate, and expect
-    // a conflict. The trail is rolled back either way; only phase
-    // saving and watch order are perturbed, neither of which affects
-    // answers.
-    newDecisionLevel();
-    for (Lit l : lits) {
-        if (value(l) == LBool::Undef)
-            uncheckedEnqueue(~l, kNoReason);
-    }
-    bool conflicted = propagate() != kNoReason;
-    cancelUntil(0);
-    return conflicted;
 }
 
 std::vector<Clause>

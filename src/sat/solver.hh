@@ -32,7 +32,6 @@
 namespace lts::sat
 {
 
-class ClauseBank;
 class DratWriter;
 
 /** Aggregate counters exposed for benchmarks and logging. */
@@ -50,8 +49,6 @@ struct SolverStats
     uint64_t eliminatedVars = 0;  ///< variables removed by simplify()
     uint64_t subsumedClauses = 0; ///< clauses deleted by subsumption
     uint64_t strengthenedLits = 0; ///< literals removed by self-subsumption
-    uint64_t importedClauses = 0; ///< clauses adopted from a ClauseBank
-    uint64_t exportedClauses = 0; ///< learnt clauses published to the bank
     uint64_t solves = 0;          ///< solve() calls
     uint64_t modelReplays = 0;    ///< lazy replays of the elimination stack
     uint64_t keptLevels = 0;      ///< assumption levels reused across calls
@@ -187,26 +184,6 @@ class Solver
      */
     bool simplify(const SimplifyConfig &cfg = SimplifyConfig());
 
-    // --- cross-solver clause sharing (ClauseBank) --------------------------
-
-    /**
-     * Join a clause-bank family: learnt clauses whose literals all lie in
-     * [0, shared_var_limit) and that pass the bank's quality filter are
-     * exported; sibling exports are imported at every restart boundary.
-     * The caller must guarantee the family's soundness contract (see
-     * clausebank.hh): the first @p shared_var_limit variables of every
-     * member were built identically, and after connecting, constraints
-     * over shared variables are only added through activation groups —
-     * permanent additions must be definitional extensions (Tseitin
-     * lowering of new cones). As a safety net, a permanent clause made
-     * up entirely of shared variables disables exporting from this
-     * solver. The bank must outlive the solver.
-     */
-    void connectBank(ClauseBank &bank, int family, Var shared_var_limit);
-
-    /** Whether connectBank has been called. */
-    bool hasBank() const { return bank != nullptr; }
-
     /**
      * Snapshot of the live problem clauses — including the activation
      * guard literal of grouped clauses — and optionally the learnt ones.
@@ -225,10 +202,7 @@ class Solver
      * a solver that has clauses is sound — but it must not have learnt
      * clauses yet (asserted), since those cannot be re-justified here.
      * The writer is not owned and must outlive the solver (or be
-     * detached first). Under a proof, clause-bank imports are adopted
-     * only when re-justifiable by root unit propagation, keeping the
-     * trace self-contained; dropped imports only change heuristics,
-     * never answers.
+     * detached first).
      */
     void setProof(DratWriter *writer);
 
@@ -259,8 +233,8 @@ class Solver
      * vectors. A caller that extends the previous vector by one literal
      * pays only for that literal's propagation. Every mutator that needs
      * the root (clause additions, release, simplify, ...) drops the kept
-     * levels first; a solver connected to a clause bank, or one found
-     * inconsistent, returns at level 0. Reuse never changes an answer.
+     * levels first; a solver found inconsistent returns at level 0.
+     * Reuse never changes an answer.
      */
     SolveResult solve(const std::vector<Lit> &assumptions);
 
@@ -368,15 +342,12 @@ class Solver
     void uncheckedEnqueue(Lit l, ClauseRef reason);
     void cancelUntil(int level);
 
-    // --- simplification & sharing support --------------------------------
+    // --- simplification support ------------------------------------------
     void reconstructModel() const;
-    bool importSharedClauses();
-    void maybeExportLearnt(const std::vector<Lit> &lits, int lbd);
 
     // --- proof support ----------------------------------------------------
     void proofAdd(const std::vector<Lit> &lits);
     void proofAddUnit(Lit l);
-    bool rupImpliedAtRoot(const std::vector<Lit> &lits);
 
     // --- search ----------------------------------------------------------
     ClauseRef propagate();
@@ -451,17 +422,7 @@ class Solver
 
     std::vector<uint8_t> frozenFlags;   // per var: caller froze it
     std::vector<uint8_t> elimFlags;     // per var: eliminated by simplify()
-    std::vector<uint8_t> selectorFlags; // per var: a group's selector
     std::vector<ElimRecord> elimStack;
-
-    // --- clause-bank state --------------------------------------------------
-    ClauseBank *bank = nullptr;
-    int bankFamily = -1;
-    int bankProducer = -1;
-    Var bankVarLimit = 0;
-    size_t bankCursor = 0;
-    bool bankExportPoisoned = false; ///< a shard-local shared-var clause
-                                     ///< was added; stop exporting
 
     DratWriter *proof = nullptr; ///< proof sink; not owned
 

@@ -60,16 +60,6 @@ minimalityFormula(const Model &model, const std::string &axiom_name, size_t n)
     });
 }
 
-FormulaPtr
-minimalityFormulaUnion(const Model &model, size_t n)
-{
-    return mkAndAll({
-        model.wellFormed(n),
-        anyAxiomViolation(model, n),
-        relaxationConjunct(model, n),
-    });
-}
-
 bool
 isMinimalInstance(const Model &model, const std::string &axiom_name,
                   const rel::Instance &inst)

@@ -39,9 +39,9 @@ rel::FormulaPtr minimalityFormula(const mm::Model &model,
 /**
  * The axiom-independent part of the criterion: well-formed ∧ every
  * applicable relaxation admits. This is the bulk of the encoding and is
- * shared by all axioms at a given size, so the incremental engine
- * asserts it once per size as a base fact and layers per-axiom
- * violations (axiomViolation) over it as retractable facts.
+ * shared by all axioms at a given size, so the synthesizer's
+ * BaseEncoding asserts it once per size as a base fact and layers
+ * per-axiom violations (axiomViolation) over it as retractable facts.
  */
 rel::FormulaPtr minimalityBase(const mm::Model &model, size_t n);
 
@@ -55,8 +55,11 @@ rel::FormulaPtr axiomViolation(const mm::Model &model,
 
 /**
  * Disjunctive violation layer for the direct union suite: at least one
- * axiom forbids the execution. Layered over minimalityBase this
- * reconstitutes minimalityFormulaUnion.
+ * axiom forbids the execution. Layered over minimalityBase this is the
+ * union criterion well-formed ∧ (∨_A ¬A(base)) ∧ conjunct. The paper's
+ * footnote 4 notes that generating the union directly was often slower
+ * than merging the per-axiom suites; bench/ablation_synth reproduces
+ * that comparison.
  */
 rel::FormulaPtr anyAxiomViolation(const mm::Model &model, size_t n);
 
@@ -67,15 +70,6 @@ rel::FormulaPtr anyAxiomViolation(const mm::Model &model, size_t n);
  */
 rel::FormulaPtr relaxationConjunct(const mm::Model &model, size_t n);
 
-/**
- * Direct union-suite formula: minimal for *at least one* axiom. Since
- * the relaxation conjunct is axiom-independent, this is
- * well-formed ∧ (∨_A ¬A(base)) ∧ conjunct. The paper's footnote 4 notes
- * that generating the union directly was often slower than merging the
- * per-axiom suites; bench/ablation_synth reproduces that comparison.
- */
-rel::FormulaPtr minimalityFormulaUnion(const mm::Model &model, size_t n);
-
 /** Concretely check the criterion on an explicit instance. */
 bool isMinimalInstance(const mm::Model &model, const std::string &axiom_name,
                        const rel::Instance &inst);
@@ -85,7 +79,7 @@ bool isMinimalInstance(const mm::Model &model, const std::string &axiom_name,
  *
  * Callers must keep the two failure modes distinct: an Audited test
  * with an empty axiom list is over-synchronized, an Unsupported test is
- * simply unchecked. `ltsgen --audit --strict-audit` maps them to exit
+ * simply unchecked. `ltsgen audit --strict` maps them to exit
  * codes 2 and 3 respectively, with 3 taking precedence so "could not
  * check" never masquerades as a pass or fail in CI.
  */

@@ -22,9 +22,6 @@ synthFlagSpecs()
          "SAT conflict cap per (axiom, size) query family (0 = off)"},
         {"max-tests-per-size", "0",
          "stop each size after this many tests (0 = off)"},
-        {"incremental", "true",
-         "share one solver per size, sweeping axioms as retractable fact "
-         "layers; false rebuilds a solver per (axiom, size)"},
         {"sbp", "true",
          "in-solver symmetry breaking: lex-leader predicates plus orbit "
          "blocking; suites are byte-identical on or off, only rawInstances "
@@ -36,11 +33,8 @@ synthFlagSpecs()
          "preprocess each solver's permanent encoding (subsumption, "
          "self-subsuming resolution, bounded variable elimination); suites "
          "are byte-identical on or off"},
-        {"share-clauses", "true",
-         "exchange learnt clauses between same-size from-scratch shards; "
-         "suites are byte-identical on or off"},
         {"proof", "",
-         "write a DRAT proof trace per shard into this directory; each "
+         "write a DRAT proof trace per size into this directory; each "
          "exhausted shard records its final Unsat as a checkable "
          "conclusion (see lts-drat-check)"},
         {"proof-text", "false",
@@ -73,11 +67,9 @@ synthOptionsFromFlags(const Flags &flags)
     opt.blockStaticOnly = flags.getBool("block-static");
     opt.conflictBudget = flags.getUint64("conflict-budget");
     opt.maxTestsPerSize = flags.getInt("max-tests-per-size");
-    opt.incremental = flags.getBool("incremental");
     opt.symmetryBreaking = flags.getBool("sbp");
     opt.jobs = flags.getInt("jobs");
     opt.simplify = flags.getBool("simplify");
-    opt.shareClauses = flags.getBool("share-clauses");
     opt.proofDir = flags.get("proof");
     opt.proofText = flags.getBool("proof-text");
     opt.dumpDimacsDir = flags.get("dump-dimacs");

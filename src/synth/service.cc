@@ -374,10 +374,8 @@ serializeSuiteRequest(const SuiteRequest &request)
     out << "budget " << o.conflictBudget << "\n";
     out << "maxtests " << o.maxTestsPerSize << "\n";
     out << "sbp " << (o.symmetryBreaking ? 1 : 0) << "\n";
-    out << "incremental " << (o.incremental ? 1 : 0) << "\n";
     out << "jobs " << o.jobs << "\n";
     out << "simplify " << (o.simplify ? 1 : 0) << "\n";
-    out << "share " << (o.shareClauses ? 1 : 0) << "\n";
     return out.str();
 }
 
@@ -404,10 +402,8 @@ parseSuiteRequest(const std::string &text)
     o.conflictBudget = r.u64("budget");
     o.maxTestsPerSize = r.i32("maxtests");
     o.symmetryBreaking = r.u64("sbp") != 0;
-    o.incremental = r.u64("incremental") != 0;
     o.jobs = r.i32("jobs");
     o.simplify = r.u64("simplify") != 0;
-    o.shareClauses = r.u64("share") != 0;
     return request;
 }
 
@@ -429,8 +425,7 @@ serializeSuiteResult(const SuiteResult &result)
     out << "progress " << p.jobsQueued << " " << p.jobsRunning << " "
         << p.jobsDone << " " << p.conflicts << " " << p.restarts << " "
         << p.instances << " " << p.sbpClauses << " " << p.eliminatedVars
-        << " " << p.subsumedClauses << " " << p.importedClauses << " "
-        << p.exportedClauses << "\n";
+        << " " << p.subsumedClauses << "\n";
     out << "provenance " << result.shards.size() << "\n";
     for (const auto &s : result.shards) {
         out << "shard " << s.size << " " << (s.cached ? 1 : 0) << " "
@@ -466,8 +461,7 @@ parseSuiteResult(const std::string &text)
         SynthProgressSnapshot &p = result.progress;
         if (!(line >> p.jobsQueued >> p.jobsRunning >> p.jobsDone >>
               p.conflicts >> p.restarts >> p.instances >> p.sbpClauses >>
-              p.eliminatedVars >> p.subsumedClauses >> p.importedClauses >>
-              p.exportedClauses)) {
+              p.eliminatedVars >> p.subsumedClauses)) {
             throw std::runtime_error("service: bad progress line");
         }
     }
@@ -712,14 +706,22 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
     if (missing > 0 && config.residentEncodings) {
         // Daemon mode: sweep the misses over resident base encodings,
         // building each missing (base, size) encoding at most once and
-        // keeping it hot for later queries.
+        // keeping it hot for later queries. A resident solver outlives
+        // any one request, so one proof file could not delimit a
+        // request's claims: resident encodings are built proof-less.
+        SynthOptions resident = options;
+        resident.proofDir.clear();
         for (size_t si = 0; si < n_sizes; si++) {
-            int size = min_size + static_cast<int>(si);
-            bool any_miss = false;
-            for (size_t ai = 0; ai < axioms.size(); ai++)
-                any_miss = any_miss || !have[ai][si];
-            if (!any_miss)
+            std::vector<size_t> rows;
+            for (size_t ai = 0; ai < axioms.size(); ai++) {
+                if (!have[ai][si])
+                    rows.push_back(ai);
+            }
+            if (rows.empty())
                 continue;
+            // One job per size swept, as in one-shot mode.
+            progress.jobsQueued.fetch_add(1, std::memory_order_relaxed);
+            int size = min_size + static_cast<int>(si);
             std::string enc_key =
                 base_digests[si] + "/" + result.optionsDigest;
             auto it = encodings.find(enc_key);
@@ -728,17 +730,20 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                      ": building base encoding");
                 it = encodings
                          .emplace(enc_key, std::make_unique<BaseEncoding>(
-                                               model, size, options))
+                                               model, size, resident))
                          .first;
             } else {
                 emit("size " + std::to_string(size) +
                      ": base encoding resident");
             }
-            for (size_t ai = 0; ai < axioms.size(); ai++) {
-                if (have[ai][si])
-                    continue;
-                shards[ai][si] = it->second->synthesizeShard(
-                    model, axioms[ai], options);
+            std::vector<Track> tracks;
+            for (size_t ai : rows)
+                tracks.push_back(axiomTrack(model, axioms[ai]));
+            std::vector<ShardResult> fresh =
+                it->second->sweep(model, tracks, resident);
+            for (size_t k = 0; k < rows.size(); k++) {
+                size_t ai = rows[k];
+                shards[ai][si] = std::move(fresh[k]);
                 have[ai][si] = true;
                 result.shardsSynthesized++;
                 emit("shard " + axioms[ai] + "@" + std::to_string(size) +
@@ -747,9 +752,9 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
             }
         }
     } else if (missing > 0) {
-        // One-shot mode: run the missing shards through the sharded
-        // engine so the engine knobs (incremental/from-scratch, jobs,
-        // simplify, clause sharing) behave exactly as synthesizeAll.
+        // One-shot mode: run the missing shards through synthesizeShards
+        // so the engine knobs (jobs, simplify, sbp, proofs) behave
+        // exactly as synthesizeAll.
         std::set<std::pair<std::string, int>> wanted;
         for (size_t ai = 0; ai < axioms.size(); ai++) {
             for (size_t si = 0; si < n_sizes; si++) {
@@ -795,16 +800,14 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                                  from_store[ai][si],
                                  shards[ai][si].tests.size(),
                                  std::string()};
-            // A freshly synthesized shard's conclusion landed in a proof
-            // file; pin its content digest into the provenance. Cached
-            // shards ran no solver, and the resident-encoding sweep is
-            // proof-less (see BaseEncoding::synthesizeShard).
+            // A freshly synthesized shard's conclusion landed in its
+            // size's proof file; pin that file's content digest into the
+            // provenance. Cached shards ran no solver, and resident
+            // encodings are proof-less.
             if (!from_store[ai][si] && !options.proofDir.empty() &&
                 !config.residentEncodings) {
-                prov.proofDigest = proofFileDigest(proofFilePath(
-                    options, model.name(),
-                    options.incremental ? std::string() : axioms[ai],
-                    prov.size));
+                prov.proofDigest = proofFileDigest(
+                    proofFilePath(options, model.name(), prov.size));
             }
             result.shards.push_back(std::move(prov));
         }

@@ -27,9 +27,9 @@
  *
  * The options digest covers only the knobs that change suite *bytes*
  * (canonicalizer, blocking granularity, budgets/caps); engine knobs
- * (incremental, jobs, simplify, sbp, clause sharing) are excluded
- * because suites are byte-identical across them — a suite synthesized
- * from-scratch serves a later incremental query.
+ * (jobs, simplify, sbp, proofs) are excluded because suites are
+ * byte-identical across them — a suite synthesized at --jobs=1 serves a
+ * later --jobs=4 query.
  */
 
 #ifndef LTS_SYNTH_SERVICE_HH
@@ -102,9 +102,9 @@ struct ShardProvenance
      * Content digest (16 hex digits) of the DRAT proof file this
      * shard's conclusion landed in, when the query ran with
      * options.proofDir and the shard was synthesized (not served from
-     * cache — cached shards carry no fresh proof). Under the
-     * incremental engine all same-size shards share one trace and so
-     * report the same digest. Empty otherwise.
+     * cache — cached shards carry no fresh proof). All same-size
+     * shards share one trace and so report the same digest. Empty
+     * otherwise.
      */
     std::string proofDigest;
 };
@@ -152,10 +152,11 @@ struct ServiceConfig
     /**
      * Keep per-(base formula, size) encodings resident between
      * queries and sweep misses on them serially — the daemon mode.
-     * When false, misses run through synthesizeShards, honoring
-     * the engine knobs (incremental, jobs, simplify) exactly as
-     * synthesizeAll would — the one-shot CLI mode. Suite bytes are
-     * identical either way.
+     * When false, misses run through synthesizeShards, honoring the
+     * engine knobs (jobs, simplify, proofs) exactly as synthesizeAll
+     * would — the one-shot CLI mode. Suite bytes and progress counters
+     * are identical either way; only the daemon keeps encodings after
+     * the query, and it builds them proof-less.
      */
     bool residentEncodings = false;
 };

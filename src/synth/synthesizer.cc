@@ -15,7 +15,6 @@
 #include "litmus/canon.hh"
 #include "mm/convert.hh"
 #include "rel/encoder.hh"
-#include "sat/clausebank.hh"
 #include "sat/dimacs.hh"
 #include "sat/drat.hh"
 #include "synth/minimality.hh"
@@ -29,37 +28,26 @@ namespace
 {
 
 /**
- * One shard of the workload: a labelled per-size query family.
- * formulaFor is the full criterion (asserted alone by the from-scratch
- * engine); layerFor is only its axiom-dependent part, layered by the
- * incremental engine over the shared base formula.
+ * Fold the SAT work a solver did since @p last into the shared progress
+ * totals, then advance @p last to @p now.
  */
-struct Track
-{
-    std::string label;
-    std::function<rel::FormulaPtr(size_t)> formulaFor;
-    std::function<rel::FormulaPtr(size_t)> layerFor;
-};
-
-/** The formula shared by every track at a given size (incremental). */
-using BaseFormulaFn = std::function<rel::FormulaPtr(size_t)>;
-
-/** Fold one job solver's SAT counters into the shared progress totals. */
 void
-accumulateSolverStats(SynthProgress *progress, const sat::SolverStats &stats)
+accumulateSolverStats(SynthProgress *progress, const sat::SolverStats &now,
+                      sat::SolverStats &last)
 {
-    if (!progress)
-        return;
-    progress->conflicts.fetch_add(stats.conflicts, std::memory_order_relaxed);
-    progress->restarts.fetch_add(stats.restarts, std::memory_order_relaxed);
-    progress->eliminatedVars.fetch_add(stats.eliminatedVars,
-                                       std::memory_order_relaxed);
-    progress->subsumedClauses.fetch_add(stats.subsumedClauses,
-                                        std::memory_order_relaxed);
-    progress->importedClauses.fetch_add(stats.importedClauses,
-                                        std::memory_order_relaxed);
-    progress->exportedClauses.fetch_add(stats.exportedClauses,
-                                        std::memory_order_relaxed);
+    if (progress) {
+        progress->conflicts.fetch_add(now.conflicts - last.conflicts,
+                                      std::memory_order_relaxed);
+        progress->restarts.fetch_add(now.restarts - last.restarts,
+                                     std::memory_order_relaxed);
+        progress->eliminatedVars.fetch_add(
+            now.eliminatedVars - last.eliminatedVars,
+            std::memory_order_relaxed);
+        progress->subsumedClauses.fetch_add(
+            now.subsumedClauses - last.subsumedClauses,
+            std::memory_order_relaxed);
+    }
+    last = now;
 }
 
 /** Is each workgroup a contiguous run of thread ids? permuteThreads
@@ -117,8 +105,8 @@ validArrangements(const LitmusTest &test, bool by_full_key)
 
 /**
  * Enumerate one track at one size on a prepared solver. The track's
- * criterion must already be active: asserted permanently (from-scratch)
- * or as a live fact layer (incremental). Blocking clauses go into a
+ * violation layer must already be live over the base encoding (see
+ * BaseEncoding::sweep). Blocking clauses go into a
  * fresh layer owned by this call, so witness-resolution solves — which
  * activate only @p witness_layers on top of the base facts — never see
  * them (a pinned representative's static part is typically itself a
@@ -347,253 +335,144 @@ installSymmetryBreaking(const mm::Model &model, rel::RelSolver &solver,
     return true;
 }
 
-/**
- * From-scratch engine: enumerate one (track, size) with a private solver.
- * With a clause bank, the axiom-independent base formula is asserted and
- * simplified first — giving every same-size shard a byte-identical
- * variable prefix — the solver joins the size's exchange family, and the
- * track's criterion goes in as a retractable layer on top. Without one,
- * the full criterion is a base fact, which lets simplification work
- * against the whole query. Both shapes activate the same constraint set
- * in every solve, so the enumerated suite is identical.
- */
-ShardResult
-runSizeJob(const mm::Model &model, const BaseFormulaFn &base,
-           const Track &track, int size, const SynthOptions &options,
-           sat::ClauseBank *bank)
+} // namespace
+
+// --- BaseEncoding: one size's encoding, swept axiom by axiom ---------------
+
+struct BaseEncoding::Impl
 {
-    size_t n = static_cast<size_t>(size);
+    Impl(const mm::Model &model, int size, const SynthOptions &options)
+        : solver(model.vocab(), static_cast<size_t>(size))
+    {
+        size_t n = static_cast<size_t>(size);
+        if (!options.proofDir.empty()) {
+            proof = std::make_unique<sat::DratWriter>(
+                proofFilePath(options, model.name(), size),
+                options.proofText ? sat::DratFormat::Text
+                                  : sat::DratFormat::Binary);
+            solver.setProof(proof.get());
+        }
+        solver.addBaseFact(minimalityBase(model, n));
+        if (options.simplify)
+            solver.simplifyBase();
+        sbpActive =
+            installSymmetryBreaking(model, solver, n, options, sbpClauses);
+        if (options.blockStaticOnly)
+            blockVars = model.staticVarIds();
+    }
+
     // Declared before the solver so the writer outlives it.
     std::unique_ptr<sat::DratWriter> proof;
-    rel::RelSolver solver(model.vocab(), n);
-    if (!options.proofDir.empty()) {
-        proof = std::make_unique<sat::DratWriter>(
-            proofFilePath(options, model.name(), track.label, size),
-            options.proofText ? sat::DratFormat::Text
-                              : sat::DratFormat::Binary);
-        solver.setProof(proof.get());
-    }
-    if (options.conflictBudget)
-        solver.satSolver().setConflictBudget(options.conflictBudget);
+    rel::RelSolver solver;
+    bool sbpActive = false;
+    uint64_t sbpClauses = 0; ///< SBP clauses not yet attributed to a shard
+    std::vector<int> blockVars;
+    /// Solver counters already reported. Zero until the first sweep, so
+    /// that sweep also reports the construction-time work (simplify).
+    sat::SolverStats reported;
+};
 
-    std::vector<rel::FactHandle> witness_layers;
-    if (bank) {
-        solver.addBaseFact(base(n));
-        if (options.simplify)
-            solver.simplifyBase();
-        solver.connectBank(*bank, std::to_string(size));
-        witness_layers.push_back(solver.addFact(track.layerFor(n)));
-    } else {
-        solver.addBaseFact(track.formulaFor(n));
-        if (options.simplify)
-            solver.simplifyBase();
-    }
-    uint64_t sbp_clauses = 0;
-    bool sbp_active =
-        installSymmetryBreaking(model, solver, n, options, sbp_clauses);
-
-    std::vector<int> block_vars;
-    if (options.blockStaticOnly)
-        block_vars = model.staticVarIds();
-
-    ShardResult result =
-        enumerateTrack(model, solver, track.label, block_vars, witness_layers,
-                       sbp_active, options);
-    result.sbpClauses = sbp_clauses;
-    accumulateSolverStats(options.progress, solver.satSolver().stats());
-    return result;
+BaseEncoding::BaseEncoding(const mm::Model &model, int size,
+                           const SynthOptions &options)
+    : impl(std::make_unique<Impl>(model, size, options))
+{
 }
 
-/**
- * Incremental engine: one solver per size. The base formula is asserted
- * once; each track's violation layer is added as a retractable fact,
- * enumerated with its blocking clauses guarded by the same layer, and
- * retracted before the next track — so learned clauses about the shared
- * encoding persist across the whole sweep while everything
- * track-specific dies with its layer. @p mask, when non-null, selects
- * which tracks to sweep (skipped tracks keep an empty result); each
- * track's result is independent of which others run, because every
- * track-specific clause dies with its layer.
- */
+BaseEncoding::~BaseEncoding() = default;
+
 std::vector<ShardResult>
-runIncrementalSizeJob(const mm::Model &model, const BaseFormulaFn &base,
-                      const std::vector<Track> &tracks, int size,
-                      const SynthOptions &options,
-                      const std::vector<char> *mask = nullptr)
+BaseEncoding::sweep(const mm::Model &model, const std::vector<Track> &tracks,
+                    const SynthOptions &options)
 {
-    size_t n = static_cast<size_t>(size);
-    std::vector<ShardResult> out(tracks.size());
-    auto selected = [&](size_t ti) { return !mask || (*mask)[ti]; };
-
-    // One shared solver per size, so one proof file per size: each swept
-    // track contributes its own 'u' conclusion to the shared trace.
-    // Declared before the solver so the writer outlives it.
-    std::unique_ptr<sat::DratWriter> proof;
-    rel::RelSolver solver(model.vocab(), n);
-    if (!options.proofDir.empty()) {
-        proof = std::make_unique<sat::DratWriter>(
-            proofFilePath(options, model.name(), "", size),
-            options.proofText ? sat::DratFormat::Text
-                              : sat::DratFormat::Binary);
-        solver.setProof(proof.get());
-    }
-    solver.addBaseFact(base(n));
-    if (options.simplify)
-        solver.simplifyBase();
-    uint64_t sbp_clauses = 0;
-    bool sbp_active =
-        installSymmetryBreaking(model, solver, n, options, sbp_clauses);
-
-    std::vector<int> block_vars;
-    if (options.blockStaticOnly)
-        block_vars = model.staticVarIds();
-
-    // The SBP layer is shared by every track on this solver; attribute
-    // its clauses to the first swept track so per-size sums count them
-    // once.
-    bool attributed_sbp = false;
-    for (size_t ti = 0; ti < tracks.size(); ti++) {
-        if (!selected(ti))
-            continue;
-        rel::FactHandle layer = solver.addFact(tracks[ti].layerFor(n));
+    SynthProgress *progress = options.progress;
+    if (progress)
+        progress->jobsRunning.fetch_add(1, std::memory_order_relaxed);
+    rel::RelSolver &solver = impl->solver;
+    size_t n = solver.encoder().universe();
+    std::vector<ShardResult> out;
+    out.reserve(tracks.size());
+    for (const Track &track : tracks) {
+        rel::FactHandle layer = solver.addFact(track.layerFor(n));
         if (options.conflictBudget) {
             // Re-arm: the budget bounds each (axiom, size) query family,
             // not the lifetime of the shared solver.
             solver.satSolver().setConflictBudget(options.conflictBudget);
         }
-        out[ti] = enumerateTrack(model, solver, tracks[ti].label, block_vars,
-                                 {layer}, sbp_active, options);
-        out[ti].sbpClauses = attributed_sbp ? 0 : sbp_clauses;
-        attributed_sbp = true;
+        out.push_back(enumerateTrack(model, solver, track.label,
+                                     impl->blockVars, {layer},
+                                     impl->sbpActive, options));
+        // The SBP layer is shared by every shard on this solver; its
+        // clauses are counted once, by the first shard swept.
+        out.back().sbpClauses = impl->sbpClauses;
+        impl->sbpClauses = 0;
         solver.retract(layer);
     }
-
-    accumulateSolverStats(options.progress, solver.satSolver().stats());
+    accumulateSolverStats(progress, solver.satSolver().stats(),
+                          impl->reported);
+    if (progress) {
+        progress->jobsRunning.fetch_sub(1, std::memory_order_relaxed);
+        progress->jobsDone.fetch_add(1, std::memory_order_relaxed);
+    }
     return out;
 }
 
+namespace
+{
+
 /**
- * Run every selected shard job — inline for jobs <= 1, on a thread pool
- * otherwise — returning the raw per-(track, size) results. The
- * incremental engine shards per size (selected tracks swept on one
- * shared solver); the from-scratch engine shards per (track, size).
- * Each job owns its own RelSolver, so no SAT or relational state
- * crosses threads. Deselected shards are skipped entirely: no job is
- * queued and their result slots stay empty — the service layer fills
- * them from the suite store.
+ * Run every selected shard — one job per size with a selected track,
+ * inline for jobs <= 1 and on a thread pool otherwise — returning the
+ * raw per-(track, size) results. Each job builds its size's
+ * BaseEncoding and sweeps the selected tracks through it, so no SAT or
+ * relational state crosses threads. Deselected shards are skipped
+ * entirely and their result slots stay empty — the service layer fills
+ * them from the suite store. A track's result does not depend on which
+ * others are swept: every track-specific clause dies with its layer.
  */
 std::vector<std::vector<ShardResult>>
-runShardTracks(const mm::Model &model, const BaseFormulaFn &base,
-               const std::vector<Track> &tracks, const SynthOptions &options,
-               const ShardSelector &selector)
+runShardTracks(const mm::Model &model, const std::vector<Track> &tracks,
+               const SynthOptions &options, const ShardSelector &selector)
 {
     int num_sizes = std::max(0, options.maxSize - options.minSize + 1);
     std::vector<std::vector<ShardResult>> results(
         tracks.size(), std::vector<ShardResult>(num_sizes));
 
-    // mask[si][ti]: sweep track ti at size minSize + si.
-    std::vector<std::vector<char>> mask(
-        static_cast<size_t>(num_sizes),
-        std::vector<char>(tracks.size(), 1));
-    if (selector) {
-        for (int si = 0; si < num_sizes; si++) {
-            for (size_t ti = 0; ti < tracks.size(); ti++) {
-                mask[si][ti] = selector(tracks[ti].label,
-                                        options.minSize + si);
-            }
-        }
-    }
-    auto sizeSelected = [&](int si) {
-        for (char m : mask[si]) {
-            if (m)
-                return true;
-        }
-        return false;
-    };
-
-    // Learnt-clause exchange between the from-scratch shards of each size
-    // (they assert the same base encoding, so clauses over it transfer).
-    // The incremental engine has nothing to pair up: one solver already
-    // sweeps every track at a size. The bank must outlive the pool.
-    std::unique_ptr<sat::ClauseBank> bank;
-    if (!options.incremental && options.shareClauses && tracks.size() > 1)
-        bank = std::make_unique<sat::ClauseBank>();
-
-    SynthProgress *progress = options.progress;
-    auto wrap = [&](auto &&body) {
-        if (progress)
-            progress->jobsRunning.fetch_add(1, std::memory_order_relaxed);
-        body();
-        if (progress) {
-            progress->jobsRunning.fetch_sub(1, std::memory_order_relaxed);
-            progress->jobsDone.fetch_add(1, std::memory_order_relaxed);
-        }
-    };
-    auto run_scratch = [&](size_t ti, int si) {
-        wrap([&] {
-            results[ti][si] = runSizeJob(model, base, tracks[ti],
-                                         options.minSize + si, options,
-                                         bank.get());
-        });
-    };
-    auto run_incremental = [&](int si) {
-        wrap([&] {
-            std::vector<ShardResult> per_track = runIncrementalSizeJob(
-                model, base, tracks, options.minSize + si, options,
-                &mask[static_cast<size_t>(si)]);
-            for (size_t ti = 0; ti < tracks.size(); ti++) {
-                if (mask[static_cast<size_t>(si)][ti])
-                    results[ti][si] = std::move(per_track[ti]);
-            }
-        });
-    };
-
-    uint64_t total_jobs = 0;
+    // swept[si]: indices of the tracks to sweep at size minSize + si.
+    std::vector<std::vector<size_t>> swept(static_cast<size_t>(num_sizes));
+    std::vector<int> jobs;
     for (int si = 0; si < num_sizes; si++) {
-        if (options.incremental) {
-            total_jobs += sizeSelected(si) ? 1 : 0;
-        } else {
-            for (size_t ti = 0; ti < tracks.size(); ti++)
-                total_jobs += mask[si][ti] ? 1 : 0;
+        for (size_t ti = 0; ti < tracks.size(); ti++) {
+            if (!selector ||
+                selector(tracks[ti].label, options.minSize + si))
+                swept[si].push_back(ti);
         }
+        if (!swept[si].empty())
+            jobs.push_back(si);
     }
-    if (progress)
-        progress->jobsQueued.fetch_add(total_jobs,
-                                       std::memory_order_relaxed);
+    if (options.progress) {
+        options.progress->jobsQueued.fetch_add(jobs.size(),
+                                               std::memory_order_relaxed);
+    }
+
+    auto run_size = [&](int si) {
+        std::vector<Track> selected;
+        for (size_t ti : swept[si])
+            selected.push_back(tracks[ti]);
+        BaseEncoding encoding(model, options.minSize + si, options);
+        std::vector<ShardResult> out =
+            encoding.sweep(model, selected, options);
+        for (size_t k = 0; k < out.size(); k++)
+            results[swept[si][k]][si] = std::move(out[k]);
+    };
 
     unsigned threads = ThreadPool::resolveThreads(options.jobs);
-    bool serial = options.jobs == 1 || threads <= 1 || total_jobs <= 1;
-    if (options.incremental) {
-        if (serial) {
-            for (int si = 0; si < num_sizes; si++) {
-                if (sizeSelected(si))
-                    run_incremental(si);
-            }
-        } else {
-            ThreadPool pool(threads);
-            for (int si = 0; si < num_sizes; si++) {
-                if (sizeSelected(si))
-                    pool.submit(
-                        [&run_incremental, si] { run_incremental(si); });
-            }
-            pool.wait();
-        }
-    } else if (serial) {
-        for (size_t ti = 0; ti < tracks.size(); ti++) {
-            for (int si = 0; si < num_sizes; si++) {
-                if (mask[si][ti])
-                    run_scratch(ti, si);
-            }
-        }
+    if (options.jobs == 1 || threads <= 1 || jobs.size() <= 1) {
+        for (int si : jobs)
+            run_size(si);
     } else {
         ThreadPool pool(threads);
-        for (size_t ti = 0; ti < tracks.size(); ti++) {
-            for (int si = 0; si < num_sizes; si++) {
-                if (mask[si][ti])
-                    pool.submit(
-                        [&run_scratch, ti, si] { run_scratch(ti, si); });
-            }
-        }
+        for (int si : jobs)
+            pool.submit([&run_size, si] { run_size(si); });
         pool.wait();
     }
     return results;
@@ -601,12 +480,11 @@ runShardTracks(const mm::Model &model, const BaseFormulaFn &base,
 
 /** runShardTracks plus the per-track merge into Suites. */
 std::vector<Suite>
-runSynthesisTracks(const mm::Model &model, const BaseFormulaFn &base,
-                   const std::vector<Track> &tracks,
+runSynthesisTracks(const mm::Model &model, const std::vector<Track> &tracks,
                    const SynthOptions &options)
 {
     std::vector<std::vector<ShardResult>> results =
-        runShardTracks(model, base, tracks, options, nullptr);
+        runShardTracks(model, tracks, options, nullptr);
     std::vector<Suite> suites;
     suites.reserve(tracks.size());
     for (size_t ti = 0; ti < tracks.size(); ti++) {
@@ -616,44 +494,40 @@ runSynthesisTracks(const mm::Model &model, const BaseFormulaFn &base,
     return suites;
 }
 
-BaseFormulaFn
-baseFormula(const mm::Model &model)
+std::vector<Track>
+allAxiomTracks(const mm::Model &model)
 {
-    return [&model](size_t n) { return minimalityBase(model, n); };
+    std::vector<Track> tracks;
+    tracks.reserve(model.axioms().size());
+    for (const auto &axiom : model.axioms())
+        tracks.push_back(axiomTrack(model, axiom.name));
+    return tracks;
 }
+
+} // namespace
 
 Track
 axiomTrack(const mm::Model &model, const std::string &axiom_name)
 {
-    return Track{axiom_name,
-                 [&model, axiom_name](size_t n) {
-                     return minimalityFormula(model, axiom_name, n);
-                 },
-                 [&model, axiom_name](size_t n) {
+    return Track{axiom_name, [&model, axiom_name](size_t n) {
                      return axiomViolation(model, axiom_name, n);
                  }};
 }
-
-} // namespace
 
 Suite
 synthesizeAxiom(const mm::Model &model, const std::string &axiom_name,
                 const SynthOptions &options)
 {
-    std::vector<Track> tracks = {axiomTrack(model, axiom_name)};
-    return runSynthesisTracks(model, baseFormula(model), tracks, options)[0];
+    return runSynthesisTracks(model, {axiomTrack(model, axiom_name)},
+                              options)[0];
 }
 
 Suite
 synthesizeUnionDirect(const mm::Model &model, const SynthOptions &options)
 {
-    std::vector<Track> tracks = {
-        Track{"union-direct",
-              [&model](size_t n) {
-                  return minimalityFormulaUnion(model, n);
-              },
-              [&model](size_t n) { return anyAxiomViolation(model, n); }}};
-    return runSynthesisTracks(model, baseFormula(model), tracks, options)[0];
+    Track track{"union-direct",
+                [&model](size_t n) { return anyAxiomViolation(model, n); }};
+    return runSynthesisTracks(model, {track}, options)[0];
 }
 
 Suite
@@ -694,12 +568,8 @@ unionSuites(const std::vector<Suite> &suites, const SynthOptions &options)
 std::vector<Suite>
 synthesizeAll(const mm::Model &model, const SynthOptions &options)
 {
-    std::vector<Track> tracks;
-    tracks.reserve(model.axioms().size());
-    for (const auto &axiom : model.axioms())
-        tracks.push_back(axiomTrack(model, axiom.name));
     std::vector<Suite> suites =
-        runSynthesisTracks(model, baseFormula(model), tracks, options);
+        runSynthesisTracks(model, allAxiomTracks(model), options);
     suites.push_back(unionSuites(suites, options));
     return suites;
 }
@@ -717,8 +587,6 @@ SynthProgress::snapshot() const
     s.sbpClauses = sbpClauses.load(std::memory_order_relaxed);
     s.eliminatedVars = eliminatedVars.load(std::memory_order_relaxed);
     s.subsumedClauses = subsumedClauses.load(std::memory_order_relaxed);
-    s.importedClauses = importedClauses.load(std::memory_order_relaxed);
-    s.exportedClauses = exportedClauses.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -734,8 +602,6 @@ SynthProgress::reset()
     sbpClauses.store(0, std::memory_order_relaxed);
     eliminatedVars.store(0, std::memory_order_relaxed);
     subsumedClauses.store(0, std::memory_order_relaxed);
-    importedClauses.store(0, std::memory_order_relaxed);
-    exportedClauses.store(0, std::memory_order_relaxed);
 }
 
 Suite
@@ -773,115 +639,19 @@ assembleShardSuite(const mm::Model &model, const std::string &label,
 }
 
 std::string
-proofFilePath(const SynthOptions &options, const std::string &model,
-              const std::string &axiom, int size)
+proofFilePath(const SynthOptions &options, const std::string &model, int size)
 {
     if (options.proofDir.empty())
         return std::string();
-    std::string name = model;
-    if (!axiom.empty())
-        name += "." + axiom;
-    name += ".n" + std::to_string(size) + ".drat";
-    return options.proofDir + "/" + name;
+    return options.proofDir + "/" + model + ".n" + std::to_string(size) +
+           ".drat";
 }
 
 std::vector<std::vector<ShardResult>>
 synthesizeShards(const mm::Model &model, const SynthOptions &options,
                  const ShardSelector &selector)
 {
-    std::vector<Track> tracks;
-    tracks.reserve(model.axioms().size());
-    for (const auto &axiom : model.axioms())
-        tracks.push_back(axiomTrack(model, axiom.name));
-    return runShardTracks(model, baseFormula(model), tracks, options,
-                          selector);
-}
-
-// --- BaseEncoding: a resident per-(model, size) encoding -------------------
-
-struct BaseEncoding::Impl
-{
-    Impl(const mm::Model &model, int size, const SynthOptions &options)
-        : size(size), solver(model.vocab(), static_cast<size_t>(size))
-    {
-        solver.addBaseFact(minimalityBase(model, static_cast<size_t>(size)));
-        if (options.simplify)
-            solver.simplifyBase();
-        sbpActive = installSymmetryBreaking(
-            model, solver, static_cast<size_t>(size), options, sbpClauses);
-        if (options.blockStaticOnly)
-            blockVars = model.staticVarIds();
-        lastStats = solver.satSolver().stats();
-    }
-
-    int size;
-    rel::RelSolver solver;
-    bool sbpActive = false;
-    uint64_t sbpClauses = 0;
-    bool sbpAttributed = false;
-    std::vector<int> blockVars;
-    sat::SolverStats lastStats;
-};
-
-BaseEncoding::BaseEncoding(const mm::Model &model, int size,
-                           const SynthOptions &options)
-    : impl(std::make_unique<Impl>(model, size, options))
-{
-}
-
-BaseEncoding::~BaseEncoding() = default;
-
-int
-BaseEncoding::size() const
-{
-    return impl->size;
-}
-
-ShardResult
-BaseEncoding::synthesizeShard(const mm::Model &model,
-                              const std::string &axiom_name,
-                              const SynthOptions &options)
-{
-    size_t n = static_cast<size_t>(impl->size);
-    rel::RelSolver &solver = impl->solver;
-    rel::FactHandle layer =
-        solver.addFact(axiomViolation(model, axiom_name, n));
-    if (options.conflictBudget)
-        solver.satSolver().setConflictBudget(options.conflictBudget);
-    if (options.progress) {
-        options.progress->jobsQueued.fetch_add(1, std::memory_order_relaxed);
-        options.progress->jobsRunning.fetch_add(1, std::memory_order_relaxed);
-    }
-    // The resident encoding is proof-less by design (options.proofDir is
-    // ignored here): its solver lives across requests, so one file could
-    // not delimit a shard's claim. enumerateTrack's conclusion hook
-    // no-ops without a writer.
-    ShardResult result =
-        enumerateTrack(model, solver, axiom_name, impl->blockVars, {layer},
-                       impl->sbpActive, options);
-    solver.retract(layer);
-    // Same attribution rule as the incremental sweep: the resident SBP
-    // layer's clauses are counted once, by the first shard swept here.
-    result.sbpClauses = impl->sbpAttributed ? 0 : impl->sbpClauses;
-    impl->sbpAttributed = true;
-
-    // The resident solver's counters are cumulative across shards (and
-    // across requests); report only this sweep's delta.
-    sat::SolverStats now = solver.satSolver().stats();
-    sat::SolverStats delta = now;
-    delta.conflicts -= impl->lastStats.conflicts;
-    delta.restarts -= impl->lastStats.restarts;
-    delta.eliminatedVars -= impl->lastStats.eliminatedVars;
-    delta.subsumedClauses -= impl->lastStats.subsumedClauses;
-    delta.importedClauses -= impl->lastStats.importedClauses;
-    delta.exportedClauses -= impl->lastStats.exportedClauses;
-    impl->lastStats = now;
-    accumulateSolverStats(options.progress, delta);
-    if (options.progress) {
-        options.progress->jobsRunning.fetch_sub(1, std::memory_order_relaxed);
-        options.progress->jobsDone.fetch_add(1, std::memory_order_relaxed);
-    }
-    return result;
+    return runShardTracks(model, allAxiomTracks(model), options, selector);
 }
 
 } // namespace lts::synth

@@ -20,18 +20,17 @@
  * symmetry and blocking layers, making the emitted bytes a pure
  * function of the class rather than of enumeration order.
  *
- * Work sharding: the default *incremental* engine runs one job per test
- * size, sweeping every axiom over a single shared encoding — the
- * axiom-independent part of the criterion (well-formedness plus the
- * relaxation conjunct) is asserted once as a base fact, and each axiom's
- * violation becomes a retractable fact layer (rel::FactHandle) whose
- * blocking clauses and learned clauses are retired when the sweep moves
- * on. The from-scratch engine (SynthOptions::incremental = false) keeps
- * one private solver per (axiom, size) pair. Either way jobs run on a
- * thread pool when SynthOptions::jobs != 1 and results are merged in a
- * fixed order — axiom declaration order, then size, then canonical
- * serialization — so the output is byte-identical to a serial run
- * regardless of completion order.
+ * One engine: a BaseEncoding per test size. The axiom-independent part
+ * of the criterion (well-formedness plus the relaxation conjunct) is
+ * asserted once as a base fact, simplified, and given the symmetry-
+ * breaking layer; each axiom's violation is then swept over it as a
+ * retractable fact layer (rel::FactHandle) whose blocking clauses and
+ * learned clauses are retired when the sweep moves on. The drivers run
+ * one job per size — on a thread pool when SynthOptions::jobs != 1 —
+ * and merge results in a fixed order (axiom declaration order, then
+ * size, then canonical serialization), so the output is byte-identical
+ * to a serial run regardless of completion order. The service's daemon
+ * mode keeps the same BaseEncodings resident across requests.
  */
 
 #ifndef LTS_SYNTH_SYNTHESIZER_HH
@@ -61,9 +60,7 @@ namespace lts::synth
  */
 struct SynthProgressSnapshot
 {
-    uint64_t jobsQueued = 0;  ///< shard jobs submitted (per size
-                              ///< incremental, per (axiom, size)
-                              ///< from-scratch / service re-synthesis)
+    uint64_t jobsQueued = 0;  ///< size sweeps submitted
     uint64_t jobsRunning = 0; ///< jobs executing at snapshot time
     uint64_t jobsDone = 0;    ///< jobs finished
     uint64_t conflicts = 0;   ///< SAT conflicts, all jobs
@@ -72,8 +69,6 @@ struct SynthProgressSnapshot
     uint64_t sbpClauses = 0;  ///< symmetry-breaking clauses emitted
     uint64_t eliminatedVars = 0;  ///< vars removed by simplify
     uint64_t subsumedClauses = 0; ///< clauses removed by simplify
-    uint64_t importedClauses = 0; ///< learnt clauses adopted from siblings
-    uint64_t exportedClauses = 0; ///< learnt clauses published to siblings
 };
 
 /**
@@ -85,9 +80,7 @@ struct SynthProgressSnapshot
  */
 struct SynthProgress
 {
-    std::atomic<uint64_t> jobsQueued{0};  ///< shard jobs submitted (per size
-                                          ///< incremental, per (axiom, size)
-                                          ///< from-scratch)
+    std::atomic<uint64_t> jobsQueued{0};  ///< size sweeps submitted
     std::atomic<uint64_t> jobsRunning{0}; ///< jobs currently executing
     std::atomic<uint64_t> jobsDone{0};    ///< jobs finished
     std::atomic<uint64_t> conflicts{0};   ///< SAT conflicts, all jobs
@@ -97,10 +90,6 @@ struct SynthProgress
                                           ///< emitted, all solvers
     std::atomic<uint64_t> eliminatedVars{0};  ///< vars removed by simplify
     std::atomic<uint64_t> subsumedClauses{0}; ///< clauses removed by simplify
-    std::atomic<uint64_t> importedClauses{0}; ///< learnt clauses adopted from
-                                              ///< sibling shards
-    std::atomic<uint64_t> exportedClauses{0}; ///< learnt clauses published to
-                                              ///< sibling shards
 
     /** Copy every counter into a plain-integer snapshot. */
     SynthProgressSnapshot snapshot() const;
@@ -133,17 +122,8 @@ struct SynthOptions
     bool symmetryBreaking = true;
 
     /**
-     * Use the incremental engine: one solver per size, base encoding
-     * asserted once, per-axiom violations swept as retractable fact
-     * layers. false rebuilds a private solver per (axiom, size) — the
-     * from-scratch baseline the benchmarks compare against.
-     */
-    bool incremental = true;
-
-    /**
-     * Worker threads for the sharded engine: one job per size
-     * (incremental) or per (axiom, size) pair (from-scratch), each job
-     * with a private solver. 1 runs jobs inline on the caller thread;
+     * Worker threads: one job per size, each sweeping its axioms over a
+     * private BaseEncoding. 1 runs jobs inline on the caller thread;
      * 0 uses all hardware threads. Results are merged deterministically,
      * so output is byte-identical for any value.
      */
@@ -160,26 +140,14 @@ struct SynthOptions
     bool simplify = true;
 
     /**
-     * Exchange learnt clauses between the from-scratch engine's per-axiom
-     * shards of the same size through a sat::ClauseBank: the shards share
-     * a byte-identical base encoding, so clauses over it transfer
-     * soundly. Applies even at jobs = 1 (sequential shards still feed
-     * later ones). The incremental engine ignores the knob — it already
-     * shares everything through its one solver per size. Suites are
-     * byte-identical with sharing on or off.
-     */
-    bool shareClauses = true;
-
-    /**
      * When non-empty, every enumeration solver logs a DRAT-style proof
      * trace (see sat/drat.hh) into this directory, and each shard that
      * exhausts its enumeration records its final Unsat answer as a
-     * checkable conclusion. The from-scratch engine writes one file per
-     * (axiom, size); the incremental engine writes one file per size
-     * carrying one conclusion per swept axiom (see proofFilePath).
-     * Probe solves (witness re-derivation) are logged but never
-     * concluded. A proof knob is an engine knob: suites are
-     * byte-identical with logging on or off, and the store/service
+     * checkable conclusion: one file per size, carrying one conclusion
+     * per swept axiom (see proofFilePath). The service's resident
+     * encodings are proof-less. Probe solves (witness re-derivation) are
+     * logged but never concluded. A proof knob is an engine knob: suites
+     * are byte-identical with logging on or off, and the store/service
      * digests ignore it.
      */
     std::string proofDir;
@@ -225,11 +193,11 @@ struct Suite
 };
 
 /**
- * The result of one (axiom, size) query family — the unit of work the
- * engines shard by and the suite store caches by. Tests are canonical
- * (per the options), deduplicated within the shard, and sorted by their
+ * The result of one (axiom, size) query family — the unit a sweep
+ * returns and the suite store caches by. Tests are canonical (per the
+ * options), deduplicated within the shard, and sorted by their
  * canonical serialization, so a shard's bytes are a pure function of
- * (model, axiom, size, semantic options) — independent of engine,
+ * (model, axiom, size, semantic options) — independent of engine knobs,
  * thread count, and enumeration order. assembleShardSuite folds a
  * size-ascending run of these into a Suite.
  */
@@ -251,22 +219,19 @@ struct ShardResult
 using ShardSelector = std::function<bool(const std::string &axiom, int size)>;
 
 /**
- * The proof file a shard's trace lands in under options.proofDir: the
- * from-scratch engine gives every (axiom, size) pair its own solver and
- * file, "<model>.<axiom>.n<size>.drat"; the incremental engine sweeps
- * all axioms of a size over one solver and so shares one
- * "<model>.n<size>.drat" (pass an empty @p axiom). Returns an empty
- * string when options.proofDir is empty.
+ * The proof file a size's trace lands in under options.proofDir: all
+ * axioms of a size are swept over one solver, so they share one
+ * "<model>.n<size>.drat". Returns an empty string when
+ * options.proofDir is empty.
  */
 std::string proofFilePath(const SynthOptions &options,
-                          const std::string &model, const std::string &axiom,
-                          int size);
+                          const std::string &model, int size);
 
 /**
  * Synthesize per-(axiom, size) shards for every axiom of the model:
  * result[a][s] is axiom a (declaration order) at size minSize + s.
- * Scheduling follows the options (engine, jobs) exactly as
- * synthesizeAll — this *is* synthesizeAll minus the merge.
+ * Scheduling follows options.jobs exactly as synthesizeAll — this *is*
+ * synthesizeAll minus the merge.
  */
 std::vector<std::vector<ShardResult>>
 synthesizeShards(const mm::Model &model, const SynthOptions &options,
@@ -283,19 +248,36 @@ Suite assembleShardSuite(const mm::Model &model, const std::string &label,
                          int min_size);
 
 /**
- * A resident per-(model, size) base encoding: the axiom-independent
- * criterion asserted and simplified once, symmetry breaking installed,
- * ready to sweep axiom shards on demand. This is the unit ltsd keeps
- * hot across requests — re-synthesizing one edited axiom's shard skips
- * the encoding build entirely. Not thread-safe; one solver, one caller
- * at a time. Shard output is byte-identical to a fresh engine run (the
- * enumeration already pins class-canonical representatives, so learned
- * state never leaks into the bytes).
+ * One query family to sweep over a BaseEncoding: the shard label (an
+ * axiom name, or "union-direct") and its violation layer at a size.
+ */
+struct Track
+{
+    std::string label;
+    std::function<rel::FormulaPtr(size_t)> layerFor;
+};
+
+/** The track of one axiom: axiomViolation(model, axiom_name, n). */
+Track axiomTrack(const mm::Model &model, const std::string &axiom_name);
+
+/**
+ * One size's encoding, and the only way synthesis builds and sweeps
+ * one. The constructor asserts the axiom-independent criterion
+ * (minimalityBase) once, simplifies it, and installs symmetry breaking;
+ * when options.proofDir is set it also owns the size's proof writer.
+ * sweep then enumerates query families over it. The drivers build one
+ * per size job; ltsd keeps them resident across requests, so
+ * re-synthesizing one edited axiom's shard skips the encoding build
+ * entirely. Not
+ * thread-safe; one solver, one caller at a time. Shard output is
+ * byte-identical to a sweep on a fresh encoding (the enumeration
+ * already pins class-canonical representatives, so learned state never
+ * leaks into the bytes).
  *
- * No reference to the construction-time Model is retained: the sweep
- * takes the model by argument, so a daemon may keep the encoding hot
- * across model *edits* as long as the edited model's minimalityBase at
- * this size renders identically (the service layer checks exactly that
+ * No reference to the construction-time Model is retained: sweep takes
+ * the model by argument, so a daemon may keep the encoding hot across
+ * model *edits* as long as the edited model's minimalityBase at this
+ * size renders identically (the service layer checks exactly that
  * digest before reusing one).
  */
 class BaseEncoding
@@ -308,16 +290,20 @@ class BaseEncoding
     BaseEncoding &operator=(const BaseEncoding &) = delete;
 
     /**
-     * Enumerate one axiom's shard on the resident encoding. @p model
-     * must have the same vocabulary and minimalityBase rendering as the
-     * construction-time model (it may be a different instance, e.g.
-     * after an axiom-predicate edit that set relaxedPred explicitly).
+     * Sweep @p tracks in order as one job: each track's layer is added
+     * as a retractable fact, enumerated, and retracted, so every
+     * track-specific clause dies with its layer and a shard's result
+     * does not depend on which others are swept. Returns one shard per
+     * track. @p model must have the same vocabulary and minimalityBase
+     * rendering as the construction-time model (it may be a different
+     * instance, e.g. after an axiom-predicate edit that set relaxedPred
+     * explicitly). Progress counters count the sweep as one job; the
+     * first sweep also reports the construction-time solver work, and
+     * the first swept shard carries the SBP clause count.
      */
-    ShardResult synthesizeShard(const mm::Model &model,
-                                const std::string &axiom_name,
-                                const SynthOptions &options);
-
-    int size() const;
+    std::vector<ShardResult> sweep(const mm::Model &model,
+                                   const std::vector<Track> &tracks,
+                                   const SynthOptions &options);
 
   private:
     struct Impl;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Proof-logging contract tests for the synthesis engines: turning
+ * Proof-logging contract tests for the synthesis engine: turning
  * --proof on must not change a single suite byte (it is an engine knob,
- * invisible to the options digest), every per-shard proof the engines
- * emit must pass the independent DRAT checker, and a dumped DIMACS
+ * invisible to the options digest), every per-size proof the engine
+ * emits must pass the independent DRAT checker, and a dumped DIMACS
  * snapshot of an Unsat shard must actually be unsatisfiable when
  * re-solved from the file.
  */
@@ -76,7 +76,7 @@ class ProofTest : public testing::Test
     fs::path dir;
 };
 
-TEST_F(ProofTest, SuiteBytesIdenticalWithProofOnBothEngines)
+TEST_F(ProofTest, SuiteBytesIdenticalWithProofOn)
 {
     auto model = mm::makeModel("tso");
     SynthOptions opt;
@@ -84,14 +84,13 @@ TEST_F(ProofTest, SuiteBytesIdenticalWithProofOnBothEngines)
     opt.maxSize = 3;
     std::string reference = suiteKey(synthesizeAll(*model, opt));
 
-    for (bool incremental : {true, false}) {
+    for (int jobs : {1, 4}) {
         SynthOptions proved = opt;
-        proved.incremental = incremental;
-        proved.proofDir = (dir / (incremental ? "inc" : "scratch")).string();
+        proved.jobs = jobs;
+        proved.proofDir = (dir / ("jobs" + std::to_string(jobs))).string();
         fs::create_directories(proved.proofDir);
         EXPECT_EQ(reference, suiteKey(synthesizeAll(*model, proved)))
-            << "proof logging changed the suite (incremental="
-            << incremental << ")";
+            << "proof logging changed the suite (jobs=" << jobs << ")";
     }
 }
 
@@ -107,23 +106,19 @@ TEST_F(ProofTest, IncrementalEngineProofsCheck)
     EXPECT_EQ(checkAllProofs(), 2u);
 }
 
-TEST_F(ProofTest, FromScratchSharedClauseProofsCheck)
+TEST_F(ProofTest, TextProofsCheckUnderParallelJobs)
 {
-    // The sharing path re-justifies imports with a local RUP check
-    // before logging them; the proofs must stay self-contained.
+    // Size jobs running concurrently each write their own file; the
+    // text format must check as well as the binary one.
     auto model = mm::makeModel("tso");
     SynthOptions opt;
     opt.minSize = 2;
     opt.maxSize = 3;
-    opt.incremental = false;
     opt.jobs = 4;
-    opt.shareClauses = true;
     opt.proofText = true;
     opt.proofDir = dir.string();
     synthesizeAll(*model, opt);
-    // One proof per (axiom, size) shard.
-    EXPECT_EQ(checkAllProofs(),
-              2 * mm::makeModel("tso")->axioms().size());
+    EXPECT_EQ(checkAllProofs(), 2u);
 }
 
 TEST_F(ProofTest, ProofKnobsAreEngineKnobs)

@@ -193,15 +193,46 @@ TEST_F(ServiceTest, EditingOneAxiomResynthesizesOnlyItsShards)
     EXPECT_EQ(after.suiteDigest, before.suiteDigest);
 }
 
+TEST_F(ServiceTest, ResidentAndOneShotColdQueriesCountTheSameWork)
+{
+    // Daemon mode sweeps misses over resident encodings, one-shot mode
+    // over per-query ones; the same cold query must report the same
+    // work either way, construction-time simplify included.
+    for (const char *name : {"tso", "scc"}) {
+        SCOPED_TRACE(name);
+        synth::SuiteRequest request;
+        request.model = name;
+        request.maxSize = 3;
+        synth::SynthProgressSnapshot p[2];
+        for (bool resident : {false, true}) {
+            synth::ServiceConfig config;
+            config.residentEncodings = resident;
+            synth::Service service(config);
+            p[resident] = service.query(request).progress;
+        }
+        EXPECT_EQ(p[0].jobsQueued, 2u);
+        EXPECT_GT(p[0].eliminatedVars, 0u);
+        EXPECT_EQ(p[1].jobsQueued, p[0].jobsQueued);
+        EXPECT_EQ(p[1].jobsRunning, p[0].jobsRunning);
+        EXPECT_EQ(p[1].jobsDone, p[0].jobsDone);
+        EXPECT_EQ(p[1].conflicts, p[0].conflicts);
+        EXPECT_EQ(p[1].restarts, p[0].restarts);
+        EXPECT_EQ(p[1].instances, p[0].instances);
+        EXPECT_EQ(p[1].sbpClauses, p[0].sbpClauses);
+        EXPECT_EQ(p[1].eliminatedVars, p[0].eliminatedVars);
+        EXPECT_EQ(p[1].subsumedClauses, p[0].subsumedClauses);
+    }
+}
+
 TEST_F(ServiceTest, OptionsDigestIgnoresEngineKnobs)
 {
     synth::SynthOptions semantic;
     synth::SynthOptions engine = semantic;
     // Engine knobs: byte-identical output by contract, so repeat queries
     // under a different execution strategy still hit.
-    engine.incremental = !engine.incremental;
     engine.jobs = 7;
     engine.symmetryBreaking = !engine.symmetryBreaking;
+    engine.simplify = !engine.simplify;
     EXPECT_EQ(synth::optionsDigest(semantic), synth::optionsDigest(engine));
 
     synth::SynthOptions canon_off = semantic;
@@ -241,7 +272,8 @@ TEST_F(ServiceTest, RequestPayloadRoundTrips)
     request.options.minSize = 3;
     request.options.useCanon = false;
     request.options.jobs = 4;
-    request.options.incremental = false;
+    request.options.symmetryBreaking = false;
+    request.options.simplify = false;
     request.options.maxTestsPerSize = 17;
 
     synth::SuiteRequest back =
@@ -252,7 +284,9 @@ TEST_F(ServiceTest, RequestPayloadRoundTrips)
     EXPECT_EQ(back.options.minSize, request.options.minSize);
     EXPECT_EQ(back.options.useCanon, request.options.useCanon);
     EXPECT_EQ(back.options.jobs, request.options.jobs);
-    EXPECT_EQ(back.options.incremental, request.options.incremental);
+    EXPECT_EQ(back.options.symmetryBreaking,
+              request.options.symmetryBreaking);
+    EXPECT_EQ(back.options.simplify, request.options.simplify);
     EXPECT_EQ(back.options.maxTestsPerSize, request.options.maxTestsPerSize);
 }
 

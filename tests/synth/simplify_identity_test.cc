@@ -1,10 +1,9 @@
 /**
  * @file
- * Suite-equivalence tests for formula simplification and cross-shard
- * clause sharing: synthesized suites must be byte-identical with each
- * feature on or off, under both engines, and at any worker count —
- * simplification and sharing may only change search effort, never what
- * is emitted. This pins the determinism contract registry-wide, the
+ * Suite-equivalence tests for formula simplification: synthesized
+ * suites must be byte-identical with the pass on or off and at any
+ * worker count — simplification may only change search effort, never
+ * what is emitted. This pins the determinism contract registry-wide, the
  * library-level counterpart of the CI bench-smoke digest assertions.
  */
 
@@ -34,12 +33,9 @@ suiteKey(const std::vector<Suite> &suites)
 }
 
 std::string
-run(const mm::Model &model, SynthOptions opt, bool simplify, bool share,
-    bool incremental, int jobs)
+run(const mm::Model &model, SynthOptions opt, bool simplify, int jobs)
 {
     opt.simplify = simplify;
-    opt.shareClauses = share;
-    opt.incremental = incremental;
     opt.jobs = jobs;
     return suiteKey(synthesizeAll(model, opt));
 }
@@ -52,23 +48,15 @@ checkModel(const std::string &name, int max_size)
     opt.minSize = 2;
     opt.maxSize = max_size;
 
-    // Reference: everything on, serial incremental (the default engine).
-    std::string reference = run(*model, opt, true, true, true, 1);
+    // Reference: simplify on, serial (the library default).
+    std::string reference = run(*model, opt, true, 1);
 
-    EXPECT_EQ(reference, run(*model, opt, false, false, true, 1))
-        << name << ": simplify+sharing off changed the incremental suite";
-    EXPECT_EQ(reference, run(*model, opt, true, true, false, 1))
-        << name << ": from-scratch suite differs with simplify+sharing on";
-    EXPECT_EQ(reference, run(*model, opt, false, false, false, 1))
-        << name << ": from-scratch suite differs with simplify+sharing off";
-    // Sharing only activates in the parallel from-scratch engine; cover
-    // the on/off pair at jobs=4 where imports actually flow.
-    EXPECT_EQ(reference, run(*model, opt, true, true, false, 4))
-        << name << ": parallel sharing changed the suite";
-    EXPECT_EQ(reference, run(*model, opt, true, false, false, 4))
-        << name << ": parallel no-share suite differs";
-    EXPECT_EQ(reference, run(*model, opt, false, true, false, 4))
-        << name << ": share-without-simplify suite differs";
+    EXPECT_EQ(reference, run(*model, opt, false, 1))
+        << name << ": simplify off changed the suite";
+    EXPECT_EQ(reference, run(*model, opt, true, 4))
+        << name << ": parallel suite differs with simplify on";
+    EXPECT_EQ(reference, run(*model, opt, false, 4))
+        << name << ": parallel suite differs with simplify off";
 }
 
 TEST(SimplifyIdentityTest, TsoSuitesIdenticalAcrossAllModes)
@@ -101,23 +89,6 @@ TEST(SimplifyIdentityTest, SimplifyActuallyEliminatesVariables)
     opt.progress = &progress;
     synthesizeAll(*tso, opt);
     EXPECT_GT(progress.eliminatedVars.load(), 0u);
-}
-
-TEST(SimplifyIdentityTest, SharingActuallyExchangesClauses)
-{
-    // Same guard for the clause bank: the parallel from-scratch engine
-    // on a multi-axiom model must move at least one clause.
-    auto tso = mm::makeModel("tso");
-    SynthOptions opt;
-    opt.minSize = 2;
-    opt.maxSize = 4;
-    opt.incremental = false;
-    opt.jobs = 4;
-    SynthProgress progress;
-    opt.progress = &progress;
-    synthesizeAll(*tso, opt);
-    EXPECT_GT(progress.exportedClauses.load(), 0u);
-    EXPECT_GT(progress.importedClauses.load(), 0u);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Suite-equivalence tests for in-solver symmetry breaking: for every
  * registered model, the synthesized suites must be byte-identical with
- * SBP on, SBP off, and under both engines — SBP may only change how
- * much raw enumeration happens, never what is emitted. This is the
+ * SBP on and off — SBP may only change how much raw enumeration
+ * happens, never what is emitted. This is the
  * determinism contract the BENCH_*.json suiteDigest field asserts in
  * CI, checked here at the library level.
  */
@@ -44,10 +44,9 @@ struct RunResult
 };
 
 RunResult
-run(const mm::Model &model, SynthOptions opt, bool sbp, bool incremental)
+run(const mm::Model &model, SynthOptions opt, bool sbp)
 {
     opt.symmetryBreaking = sbp;
-    opt.incremental = incremental;
     SynthProgress progress;
     opt.progress = &progress;
     auto suites = synthesizeAll(model, opt);
@@ -62,29 +61,26 @@ checkModel(const std::string &name, int max_size)
     opt.minSize = 2;
     opt.maxSize = max_size;
 
-    RunResult with_sbp = run(*model, opt, true, true);
-    RunResult without = run(*model, opt, false, true);
-    RunResult scratch = run(*model, opt, true, false);
+    RunResult with_sbp = run(*model, opt, true);
+    RunResult without = run(*model, opt, false);
 
     EXPECT_EQ(with_sbp.key, without.key)
         << name << ": SBP on/off suites differ";
-    EXPECT_EQ(with_sbp.key, scratch.key)
-        << name << ": incremental/from-scratch suites differ";
     EXPECT_LE(with_sbp.rawInstances, without.rawInstances)
         << name << ": SBP enumerated more raw instances than no-SBP";
 }
 
-TEST(SynthSymmetryTest, TsoSuitesIdenticalAcrossSbpAndEngine)
+TEST(SynthSymmetryTest, TsoSuitesIdenticalAcrossSbp)
 {
     checkModel("tso", 4);
 }
 
-TEST(SynthSymmetryTest, ScSuitesIdenticalAcrossSbpAndEngine)
+TEST(SynthSymmetryTest, ScSuitesIdenticalAcrossSbp)
 {
     checkModel("sc", 4);
 }
 
-TEST(SynthSymmetryTest, RegistryWideSuitesIdenticalAcrossSbpAndEngine)
+TEST(SynthSymmetryTest, RegistryWideSuitesIdenticalAcrossSbp)
 {
     // Every registered synthesizable model at the largest size that
     // keeps this a unit test; TSO/SC run a size bigger above.
@@ -101,8 +97,8 @@ TEST(SynthSymmetryTest, SbpActuallyPrunesAtSizeFour)
     SynthOptions opt;
     opt.minSize = 2;
     opt.maxSize = 4;
-    RunResult with_sbp = run(*tso, opt, true, true);
-    RunResult without = run(*tso, opt, false, true);
+    RunResult with_sbp = run(*tso, opt, true);
+    RunResult without = run(*tso, opt, false);
     EXPECT_LT(with_sbp.rawInstances, without.rawInstances);
 }
 
@@ -122,8 +118,8 @@ TEST(SynthSymmetryTest, AblationsIdenticalAcrossSbp)
         } else {
             opt.blockStaticOnly = false;
         }
-        RunResult with_sbp = run(*tso, opt, true, true);
-        RunResult without = run(*tso, opt, false, true);
+        RunResult with_sbp = run(*tso, opt, true);
+        RunResult without = run(*tso, opt, false);
         EXPECT_EQ(with_sbp.key, without.key) << "ablation mode " << mode;
         EXPECT_LE(with_sbp.rawInstances, without.rawInstances)
             << "ablation mode " << mode;

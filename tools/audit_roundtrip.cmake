@@ -1,14 +1,14 @@
 # Generate a suite to a file, then audit it: every synthesized test must
 # report as minimal (0 not-minimal).
 execute_process(
-    COMMAND ${LTSGEN} --model=tso --max-size=4
+    COMMAND ${LTSGEN} synth --model=tso --max-size=4
             --out=${WORKDIR}/roundtrip.litmus
     RESULT_VARIABLE gen_result)
 if(NOT gen_result EQUAL 0)
     message(FATAL_ERROR "ltsgen generation failed: ${gen_result}")
 endif()
 execute_process(
-    COMMAND ${LTSGEN} --model=tso --audit=${WORKDIR}/roundtrip.litmus
+    COMMAND ${LTSGEN} audit --model=tso --in=${WORKDIR}/roundtrip.litmus
     OUTPUT_VARIABLE audit_output
     RESULT_VARIABLE audit_result)
 if(NOT audit_result EQUAL 0)
@@ -18,10 +18,10 @@ if(NOT audit_output MATCHES "0/[0-9]+ tests are not minimally")
     message(FATAL_ERROR "audit found non-minimal tests:\n${audit_output}")
 endif()
 
-# The same audit under --strict-audit must still exit 0 (all minimal)...
+# The same audit under --strict must still exit 0 (all minimal)...
 execute_process(
-    COMMAND ${LTSGEN} --model=tso --audit=${WORKDIR}/roundtrip.litmus
-            --strict-audit
+    COMMAND ${LTSGEN} audit --model=tso --in=${WORKDIR}/roundtrip.litmus
+            --strict
     OUTPUT_VARIABLE strict_output
     RESULT_VARIABLE strict_result)
 if(NOT strict_result EQUAL 0)
@@ -40,8 +40,8 @@ forbidden: init 2
 end
 ")
 execute_process(
-    COMMAND ${LTSGEN} --model=tso --audit=${WORKDIR}/notminimal.litmus
-            --strict-audit
+    COMMAND ${LTSGEN} audit --model=tso --in=${WORKDIR}/notminimal.litmus
+            --strict
     OUTPUT_QUIET
     RESULT_VARIABLE notmin_result)
 if(NOT notmin_result EQUAL 2)
@@ -62,8 +62,8 @@ forbidden: init 1
 end
 ")
 execute_process(
-    COMMAND ${LTSGEN} --model=scc --audit=${WORKDIR}/unsupported.litmus
-            --strict-audit
+    COMMAND ${LTSGEN} audit --model=scc --in=${WORKDIR}/unsupported.litmus
+            --strict
     OUTPUT_QUIET
     RESULT_VARIABLE unsup_result)
 if(NOT unsup_result EQUAL 3)

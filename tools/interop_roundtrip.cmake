@@ -4,7 +4,7 @@
 # it: the forbidden outcome must not be observed (exit 0).
 
 execute_process(
-    COMMAND ${LTSGEN} --model=tso --max-size=4
+    COMMAND ${LTSGEN} synth --model=tso --max-size=4
             --out=${WORKDIR}/interop_orig.litmus
             --emit-litmus=${WORKDIR}/interop_lit
             --emit-cxx=${WORKDIR}/interop_cxx
@@ -17,7 +17,7 @@ if(NOT EXISTS ${WORKDIR}/interop_lit/@all)
 endif()
 
 execute_process(
-    COMMAND ${LTSGEN} --import-litmus=${WORKDIR}/interop_lit
+    COMMAND ${LTSGEN} import --in=${WORKDIR}/interop_lit
             --out=${WORKDIR}/interop_back.litmus
     RESULT_VARIABLE import_result)
 if(NOT import_result EQUAL 0)
@@ -35,8 +35,8 @@ endif()
 # The exported .litmus directory must also audit clean as-is (format
 # auto-detection: herd files, not interchange).
 execute_process(
-    COMMAND ${LTSGEN} --model=tso --audit=${WORKDIR}/interop_lit
-            --strict-audit
+    COMMAND ${LTSGEN} audit --model=tso --in=${WORKDIR}/interop_lit
+            --strict
     OUTPUT_QUIET
     RESULT_VARIABLE audit_result)
 if(NOT audit_result EQUAL 0)

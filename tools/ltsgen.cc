@@ -11,10 +11,6 @@
  *   ltsgen import --in=out/ --out=suite.txt                # .litmus -> text
  *   ltsgen audit  --model=tso --in=suite.litmus [--strict]
  *   ltsgen bench  --model=tso --json=BENCH_tso.json
- *
- * The pre-subcommand flag spelling (`ltsgen --model=... --audit=...`)
- * still works through a deprecation shim that maps each flag bundle to
- * the verb above and says so on stderr.
  */
 
 #include <algorithm>
@@ -49,7 +45,7 @@ using namespace lts;
 namespace
 {
 
-// Distinct --strict-audit exit codes so CI can tell verdicts apart.
+// Distinct `audit --strict` exit codes so CI can tell verdicts apart.
 constexpr int kExitNotMinimal = 2;
 constexpr int kExitUnsupported = 3;
 
@@ -325,12 +321,10 @@ printResultStats(const synth::SuiteResult &result, double wall_seconds)
                  static_cast<unsigned long long>(p.instances));
     std::fprintf(stderr,
                  "  solver: %llu restarts; simplify removed %llu vars, "
-                 "%llu clauses; shared %llu out / %llu in\n",
+                 "%llu clauses\n",
                  static_cast<unsigned long long>(p.restarts),
                  static_cast<unsigned long long>(p.eliminatedVars),
-                 static_cast<unsigned long long>(p.subsumedClauses),
-                 static_cast<unsigned long long>(p.exportedClauses),
-                 static_cast<unsigned long long>(p.importedClauses));
+                 static_cast<unsigned long long>(p.subsumedClauses));
     std::fprintf(stderr, "  suite: %s\n", result.suiteDigest.c_str());
     std::fprintf(stderr, "  cache: %s (%llu shards cached, %llu synthesized)\n",
                  synth::toString(result.cache).c_str(),
@@ -346,17 +340,9 @@ writeBenchRecord(const std::string &path, const synth::SuiteRequest &request,
     const synth::SynthProgressSnapshot &p = result.progress;
     const synth::SynthOptions &opt = request.options;
     bench::ModeRun run;
-    run.mode =
-        std::string(opt.incremental ? "incremental" : "from-scratch");
-    if (!opt.symmetryBreaking)
-        run.mode += "-nosbp";
-    if (!opt.simplify)
-        run.mode += "-nosimp";
-    if (!opt.shareClauses)
-        run.mode += "-noshare";
+    run.mode = bench::modeName(opt);
     run.sbp = opt.symmetryBreaking;
     run.simplify = opt.simplify;
-    run.shareClauses = opt.shareClauses;
     run.wallSeconds = wall_seconds;
     run.cpuSeconds = suite.totalSeconds();
     run.jobsQueued = p.jobsQueued;
@@ -367,8 +353,6 @@ writeBenchRecord(const std::string &path, const synth::SuiteRequest &request,
     run.sbpClauses = p.sbpClauses;
     run.eliminatedVars = p.eliminatedVars;
     run.subsumedClauses = p.subsumedClauses;
-    run.importedClauses = p.importedClauses;
-    run.exportedClauses = p.exportedClauses;
     run.instancesBySize = suite.instancesBySize;
     run.keptBySize = suite.testsBySize;
     run.sbpClausesBySize = suite.sbpClausesBySize;
@@ -439,10 +423,44 @@ checkProofDir(const std::string &dir)
     return bad;
 }
 
-/** The synth verb core, shared with the legacy spelling. */
-int
-doSynth(const Flags &flags)
+// --- subcommands -------------------------------------------------------------
+
+void
+declareSynthVerbFlags(Flags &flags)
 {
+    flags.declare("model", "tso", "memory model: sc|tso|power|armv7|scc|c11");
+    flags.declare("axiom", "union", "axiom to target, or 'union' for all");
+    synth::declareSynthFlags(flags);
+    flags.declare("out", "-", "output file ('-' = stdout)");
+    flags.declare("stats", "false", "print per-size counts and runtimes");
+    flags.declare("pretty", "false",
+                  "print human-readable tables instead of .litmus text");
+    flags.declare("emit-litmus", "",
+                  "also write each test as a herd7 NNN_name.litmus file "
+                  "into this directory (plus an @all index)");
+    flags.declare("emit-cxx", "",
+                  "also write each test as a self-contained C++11 stress "
+                  "harness NNN_name.cc into this directory");
+    flags.declare("store", "",
+                  "content-addressed suite store directory; repeat "
+                  "queries are answered from it byte-identically");
+    flags.declare("bench-json", "",
+                  "write a BENCH_*.json baseline for this run ('' = skip)");
+    flags.declare("proof-check", "false",
+                  "after synthesis, run the independent DRAT checker over "
+                  "every proof in the --proof directory (a temporary "
+                  "directory when --proof is unset) and fail on any bad "
+                  "proof");
+}
+
+int
+cmdSynth(int argc, char **argv)
+{
+    Flags flags;
+    declareSynthVerbFlags(flags);
+    if (!flags.parse(argc, argv))
+        return 1;
+
     synth::SuiteRequest request;
     if (!requestFromFlags(flags, request))
         return 1;
@@ -509,46 +527,6 @@ doSynth(const Flags &flags)
         }
     }
     return 0;
-}
-
-// --- subcommands -------------------------------------------------------------
-
-void
-declareSynthVerbFlags(Flags &flags)
-{
-    flags.declare("model", "tso", "memory model: sc|tso|power|armv7|scc|c11");
-    flags.declare("axiom", "union", "axiom to target, or 'union' for all");
-    synth::declareSynthFlags(flags);
-    flags.declare("out", "-", "output file ('-' = stdout)");
-    flags.declare("stats", "false", "print per-size counts and runtimes");
-    flags.declare("pretty", "false",
-                  "print human-readable tables instead of .litmus text");
-    flags.declare("emit-litmus", "",
-                  "also write each test as a herd7 NNN_name.litmus file "
-                  "into this directory (plus an @all index)");
-    flags.declare("emit-cxx", "",
-                  "also write each test as a self-contained C++11 stress "
-                  "harness NNN_name.cc into this directory");
-    flags.declare("store", "",
-                  "content-addressed suite store directory; repeat "
-                  "queries are answered from it byte-identically");
-    flags.declare("bench-json", "",
-                  "write a BENCH_*.json baseline for this run ('' = skip)");
-    flags.declare("proof-check", "false",
-                  "after synthesis, run the independent DRAT checker over "
-                  "every proof in the --proof directory (a temporary "
-                  "directory when --proof is unset) and fail on any bad "
-                  "proof");
-}
-
-int
-cmdSynth(int argc, char **argv)
-{
-    Flags flags;
-    declareSynthVerbFlags(flags);
-    if (!flags.parse(argc, argv))
-        return 1;
-    return doSynth(flags);
 }
 
 int
@@ -730,56 +708,6 @@ usage()
     return 1;
 }
 
-/**
- * The pre-verb flag surface, kept alive for scripts: parse the union of
- * the historical flags, say which verb now owns the request, and run
- * the same cores the verbs run.
- */
-int
-runLegacy(int argc, char **argv)
-{
-    Flags flags;
-    declareSynthVerbFlags(flags);
-    flags.declare("audit", "",
-                  "audit an existing suite for minimality instead of "
-                  "synthesizing (interchange or herd7 format, "
-                  "auto-detected; a directory audits its *.litmus files)");
-    flags.declare("strict-audit", "false",
-                  "with --audit: exit 2 if any test is not minimally "
-                  "synchronized, 3 if any test could not be audited");
-    flags.declare("import-litmus", "",
-                  "skip synthesis; load tests from this file or directory "
-                  "of .litmus files and re-emit them (--out, --emit-*)");
-    if (!flags.parse(argc, argv))
-        return 1;
-
-    if (!flags.get("audit").empty()) {
-        std::fprintf(stderr,
-                     "ltsgen: note: --audit is deprecated; use "
-                     "`ltsgen audit --model=%s --in=%s`\n",
-                     flags.get("model").c_str(), flags.get("audit").c_str());
-        return doAudit(flags.get("model"), flags.get("audit"),
-                       flags.getBool("strict-audit"));
-    }
-    if (!flags.get("import-litmus").empty()) {
-        std::fprintf(stderr,
-                     "ltsgen: note: --import-litmus is deprecated; use "
-                     "`ltsgen import --in=%s`\n",
-                     flags.get("import-litmus").c_str());
-        EmitSpec spec;
-        spec.out = flags.get("out");
-        spec.litmusDir = flags.get("emit-litmus");
-        spec.cxxDir = flags.get("emit-cxx");
-        spec.pretty = flags.getBool("pretty");
-        return doImport(flags.get("import-litmus"), spec,
-                        flags.get("model"));
-    }
-    std::fprintf(stderr,
-                 "ltsgen: note: flag-only invocation is deprecated; use "
-                 "`ltsgen synth` (or query/export/import/audit/bench)\n");
-    return doSynth(flags);
-}
-
 } // namespace
 
 int
@@ -803,7 +731,5 @@ main(int argc, char **argv)
         std::fprintf(stderr, "ltsgen: unknown verb '%s'\n", verb.c_str());
         return usage();
     }
-    if (argc < 2)
-        return usage();
-    return runLegacy(argc, argv);
+    return usage();
 }
