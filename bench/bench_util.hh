@@ -179,20 +179,6 @@ struct ModeRun
 };
 
 /**
- * Stable digest of a suite's content, in the versioned
- * litmus::suiteDigest format ("lts-suite-v1:<16 hex>"). Two runs
- * produce the same digest iff their suites are byte-identical, which is
- * how the bench smoke job asserts SBP on/off equivalence without
- * shipping suites — and how these digests stay comparable with the ones
- * the suite store and ltsd report.
- */
-inline std::string
-suiteDigest(const synth::Suite &suite)
-{
-    return litmus::suiteDigest(suite.tests);
-}
-
-/**
  * Synthesize every per-axiom suite (plus the union) for @p model
  * through the service layer — the one front door into synthesis. A
  * store-less Service degenerates to a plain engine run honoring every
@@ -228,9 +214,40 @@ modeName(const synth::SynthOptions &opt)
 }
 
 /**
- * Run one full synthesis under one engine mode and record the
- * solver-work and runtime numbers the BENCH_*.json files report. Counts
- * come from the SuiteResult's SynthProgress snapshot, not live atomics.
+ * The BENCH_*.json record of one service query run under @p opt:
+ * solver work from the SuiteResult's SynthProgress snapshot (not live
+ * atomics), per-size counts from its union suite (the one axiom's suite
+ * for an axiom-scoped query).
+ */
+inline ModeRun
+modeRun(const synth::SuiteResult &result, const synth::SynthOptions &opt,
+        double wall_seconds)
+{
+    const synth::SynthProgressSnapshot &progress = result.progress;
+    const synth::Suite &suite = result.unionSuite();
+    ModeRun run;
+    run.mode = modeName(opt);
+    run.sbp = opt.symmetryBreaking;
+    run.simplify = opt.simplify;
+    run.wallSeconds = wall_seconds;
+    run.cpuSeconds = aggregateCpuSeconds(result.suites);
+    run.jobsQueued = progress.jobsQueued;
+    run.jobsDone = progress.jobsDone;
+    run.conflicts = progress.conflicts;
+    run.restarts = progress.restarts;
+    run.instances = progress.instances;
+    run.sbpClauses = progress.sbpClauses;
+    run.eliminatedVars = progress.eliminatedVars;
+    run.subsumedClauses = progress.subsumedClauses;
+    run.instancesBySize = suite.instancesBySize;
+    run.keptBySize = suite.testsBySize;
+    run.sbpClausesBySize = suite.sbpClausesBySize;
+    run.suiteDigest = result.suiteDigest;
+    return run;
+}
+
+/**
+ * Run one full synthesis under one engine mode and record it (modeRun).
  * The suites go to *out when the caller also wants the figure tables.
  */
 inline ModeRun
@@ -241,25 +258,7 @@ measureMode(const mm::Model &model, synth::SynthOptions opt, bool sbp = true,
     Timer wall;
     synth::SuiteResult result;
     querySuites(model, opt, &result);
-    const synth::SynthProgressSnapshot &progress = result.progress;
-    ModeRun run;
-    run.mode = modeName(opt);
-    run.sbp = sbp;
-    run.simplify = opt.simplify;
-    run.wallSeconds = wall.seconds();
-    run.cpuSeconds = aggregateCpuSeconds(result.suites);
-    run.jobsQueued = progress.jobsQueued;
-    run.jobsDone = progress.jobsDone;
-    run.conflicts = progress.conflicts;
-    run.restarts = progress.restarts;
-    run.instances = progress.instances;
-    run.sbpClauses = progress.sbpClauses;
-    run.eliminatedVars = progress.eliminatedVars;
-    run.subsumedClauses = progress.subsumedClauses;
-    run.instancesBySize = result.unionSuite().instancesBySize;
-    run.keptBySize = result.unionSuite().testsBySize;
-    run.sbpClausesBySize = result.unionSuite().sbpClausesBySize;
-    run.suiteDigest = result.suiteDigest;
+    ModeRun run = modeRun(result, opt, wall.seconds());
     if (out)
         *out = std::move(result.suites);
     return run;
@@ -282,6 +281,48 @@ printModeRun(const ModeRun &run, int jobs)
 }
 
 /**
+ * Open "<path>.tmp" for a results file that finishAtomicWrite renames
+ * into place, so a sweep script (or a concurrent reader tailing results)
+ * never observes a half-written file; rename(2) within a directory is
+ * atomic. Returns nullptr, after a diagnostic, when it cannot.
+ */
+inline std::FILE *
+beginAtomicWrite(const std::string &path)
+{
+    const std::string tmp = path + ".tmp";
+    std::FILE *f = std::fopen(tmp.c_str(), "w");
+    if (!f)
+        std::fprintf(stderr, "cannot write %s\n", tmp.c_str());
+    return f;
+}
+
+/**
+ * Close a beginAtomicWrite file and rename it to @p path when every
+ * write succeeded; otherwise remove it. Prints "wrote <path>" on
+ * success and a diagnostic on stderr otherwise.
+ */
+inline void
+finishAtomicWrite(std::FILE *f, const std::string &path)
+{
+    const std::string tmp = path + ".tmp";
+    bool write_ok = std::ferror(f) == 0;
+    if (std::fclose(f) != 0)
+        write_ok = false;
+    if (!write_ok) {
+        std::fprintf(stderr, "error writing %s\n", tmp.c_str());
+        std::remove(tmp.c_str());
+        return;
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::fprintf(stderr, "cannot rename %s to %s\n", tmp.c_str(),
+                     path.c_str());
+        std::remove(tmp.c_str());
+        return;
+    }
+    std::printf("wrote %s\n", path.c_str());
+}
+
+/**
  * Write the machine-readable results file (BENCH_<name>.json) consumed
  * by sweep scripts: one entry per engine mode with wall/CPU seconds,
  * SAT conflicts, and union-suite instance counts per size.
@@ -291,15 +332,9 @@ writeBenchJson(const std::string &path, const std::string &bench,
                const std::string &model, int min_size, int max_size,
                const std::vector<ModeRun> &runs)
 {
-    // Write to a temp file and rename into place so a sweep script (or a
-    // concurrent reader tailing results) never observes a half-written
-    // file; rename(2) within a directory is atomic.
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", tmp.c_str());
+    std::FILE *f = beginAtomicWrite(path);
+    if (!f)
         return;
-    }
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"%s\",\n"
@@ -366,21 +401,7 @@ writeBenchJson(const std::string &path, const std::string &bench,
         std::fprintf(f, "    }%s\n", i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    bool write_ok = std::ferror(f) == 0;
-    if (std::fclose(f) != 0)
-        write_ok = false;
-    if (!write_ok) {
-        std::fprintf(stderr, "error writing %s\n", tmp.c_str());
-        std::remove(tmp.c_str());
-        return;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::fprintf(stderr, "cannot rename %s to %s\n", tmp.c_str(),
-                     path.c_str());
-        std::remove(tmp.c_str());
-        return;
-    }
-    std::printf("wrote %s\n", path.c_str());
+    finishAtomicWrite(f, path);
 }
 
 /**
@@ -399,16 +420,13 @@ struct MicroRun
     uint64_t problemClauses = 0; ///< live problem clauses after setup
 };
 
-/** Write BENCH_micro_sat.json (same tmp+rename discipline as above). */
+/** Write BENCH_micro_sat.json (atomically, as writeBenchJson). */
 inline void
 writeMicroSatJson(const std::string &path, const std::vector<MicroRun> &runs)
 {
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", tmp.c_str());
+    std::FILE *f = beginAtomicWrite(path);
+    if (!f)
         return;
-    }
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"micro_sat\",\n"
@@ -434,21 +452,7 @@ writeMicroSatJson(const std::string &path, const std::vector<MicroRun> &runs)
                      i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    bool write_ok = std::ferror(f) == 0;
-    if (std::fclose(f) != 0)
-        write_ok = false;
-    if (!write_ok) {
-        std::fprintf(stderr, "error writing %s\n", tmp.c_str());
-        std::remove(tmp.c_str());
-        return;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::fprintf(stderr, "cannot rename %s to %s\n", tmp.c_str(),
-                     path.c_str());
-        std::remove(tmp.c_str());
-        return;
-    }
-    std::printf("wrote %s\n", path.c_str());
+    finishAtomicWrite(f, path);
 }
 
 } // namespace lts::bench

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -680,8 +679,6 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
     // 2. Shard-level path: serve what the store has, synthesize the rest.
     std::vector<std::vector<ShardResult>> shards(
         axioms.size(), std::vector<ShardResult>(n_sizes));
-    std::vector<std::vector<bool>> have(axioms.size(),
-                                        std::vector<bool>(n_sizes, false));
     std::vector<std::vector<bool>> from_store(
         axioms.size(), std::vector<bool>(n_sizes, false));
     if (suiteStore) {
@@ -692,7 +689,6 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                     continue;
                 try {
                     shards[ai][si] = parseShard(*bytes);
-                    have[ai][si] = true;
                     from_store[ai][si] = true;
                     result.shardsCached++;
                 } catch (const std::exception &) {
@@ -702,93 +698,56 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
         }
     }
 
-    size_t missing = axioms.size() * n_sizes - result.shardsCached;
-    if (missing > 0 && config.residentEncodings) {
-        // Daemon mode: sweep the misses over resident base encodings,
-        // building each missing (base, size) encoding at most once and
-        // keeping it hot for later queries. A resident solver outlives
-        // any one request, so one proof file could not delimit a
-        // request's claims: resident encodings are built proof-less.
-        SynthOptions resident = options;
-        resident.proofDir.clear();
-        for (size_t si = 0; si < n_sizes; si++) {
-            std::vector<size_t> rows;
-            for (size_t ai = 0; ai < axioms.size(); ai++) {
-                if (!have[ai][si])
-                    rows.push_back(ai);
+    // One job per size with a miss, sweeping that size's missing axioms
+    // in scope order. Daemon mode lends each job its resident encoding,
+    // if it has one, and keeps the job's encoding afterwards; one-shot
+    // jobs free theirs as they finish. A resident solver outlives any
+    // one request, so one proof file could not delimit a request's
+    // claims: resident encodings are built proof-less.
+    SynthOptions job_options = options;
+    if (config.residentEncodings)
+        job_options.proofDir.clear();
+    auto encoding_key = [&](size_t si) {
+        return base_digests[si] + "/" + result.optionsDigest;
+    };
+    std::vector<SizeJob> jobs;
+    for (size_t si = 0; si < n_sizes; si++) {
+        SizeJob job;
+        job.size = min_size + static_cast<int>(si);
+        job.keepEncoding = config.residentEncodings;
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            if (!from_store[ai][si])
+                job.tracks.push_back(axiomTrack(model, axioms[ai]));
+        }
+        if (job.tracks.empty())
+            continue;
+        if (config.residentEncodings) {
+            auto it = encodings.find(encoding_key(si));
+            if (it != encodings.end()) {
+                job.encoding = std::move(it->second);
+                encodings.erase(it);
             }
-            if (rows.empty())
+            emit("size " + std::to_string(job.size) +
+                 (job.encoding ? ": base encoding resident"
+                               : ": building base encoding"));
+        }
+        jobs.push_back(std::move(job));
+    }
+    runSizeJobs(model, jobs, job_options);
+    for (SizeJob &job : jobs) {
+        size_t si = static_cast<size_t>(job.size - min_size);
+        size_t k = 0;
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            if (from_store[ai][si])
                 continue;
-            // One job per size swept, as in one-shot mode.
-            progress.jobsQueued.fetch_add(1, std::memory_order_relaxed);
-            int size = min_size + static_cast<int>(si);
-            std::string enc_key =
-                base_digests[si] + "/" + result.optionsDigest;
-            auto it = encodings.find(enc_key);
-            if (it == encodings.end()) {
-                emit("size " + std::to_string(size) +
-                     ": building base encoding");
-                it = encodings
-                         .emplace(enc_key, std::make_unique<BaseEncoding>(
-                                               model, size, resident))
-                         .first;
-            } else {
-                emit("size " + std::to_string(size) +
-                     ": base encoding resident");
-            }
-            std::vector<Track> tracks;
-            for (size_t ai : rows)
-                tracks.push_back(axiomTrack(model, axioms[ai]));
-            std::vector<ShardResult> fresh =
-                it->second->sweep(model, tracks, resident);
-            for (size_t k = 0; k < rows.size(); k++) {
-                size_t ai = rows[k];
-                shards[ai][si] = std::move(fresh[k]);
-                have[ai][si] = true;
-                result.shardsSynthesized++;
-                emit("shard " + axioms[ai] + "@" + std::to_string(size) +
-                     ": synthesized, " +
-                     std::to_string(shards[ai][si].tests.size()) + " tests");
-            }
+            shards[ai][si] = std::move(job.shards[k++]);
+            result.shardsSynthesized++;
+            emit("shard " + axioms[ai] + "@" + std::to_string(job.size) +
+                 ": synthesized, " +
+                 std::to_string(shards[ai][si].tests.size()) + " tests");
         }
-    } else if (missing > 0) {
-        // One-shot mode: run the missing shards through synthesizeShards
-        // so the engine knobs (jobs, simplify, sbp, proofs) behave
-        // exactly as synthesizeAll.
-        std::set<std::pair<std::string, int>> wanted;
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            for (size_t si = 0; si < n_sizes; si++) {
-                if (!have[ai][si]) {
-                    wanted.emplace(axioms[ai],
-                                   min_size + static_cast<int>(si));
-                }
-            }
-        }
-        ShardSelector selector = [&](const std::string &axiom, int size) {
-            return wanted.count({axiom, size}) != 0;
-        };
-        auto fresh = synthesizeShards(model, options, selector);
-        // fresh is indexed by model axiom declaration order; map back
-        // into the (possibly axiom-scoped) result rows.
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            size_t model_index = 0;
-            const auto &model_axioms = model.axioms();
-            while (model_index < model_axioms.size() &&
-                   model_axioms[model_index].name != axioms[ai]) {
-                model_index++;
-            }
-            for (size_t si = 0; si < n_sizes; si++) {
-                if (have[ai][si])
-                    continue;
-                shards[ai][si] = std::move(fresh[model_index][si]);
-                have[ai][si] = true;
-                result.shardsSynthesized++;
-                emit("shard " + axioms[ai] + "@" +
-                     std::to_string(min_size + static_cast<int>(si)) +
-                     ": synthesized, " +
-                     std::to_string(shards[ai][si].tests.size()) + " tests");
-            }
-        }
+        if (config.residentEncodings)
+            encodings[encoding_key(si)] = std::move(job.encoding);
     }
 
     // 3. Assemble, record provenance, and persist what this query learned.

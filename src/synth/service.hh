@@ -150,21 +150,24 @@ struct ServiceConfig
     size_t cacheBudget = store::SuiteStore::kDefaultCacheBudget;
 
     /**
-     * Keep per-(base formula, size) encodings resident between
-     * queries and sweep misses on them serially — the daemon mode.
-     * When false, misses run through synthesizeShards, honoring the
-     * engine knobs (jobs, simplify, proofs) exactly as synthesizeAll
-     * would — the one-shot CLI mode. Suite bytes and progress counters
-     * are identical either way; only the daemon keeps encodings after
-     * the query, and it builds them proof-less.
+     * Keep per-(base formula, size) encodings resident between queries
+     * — the daemon mode. Misses run through runSizeJobs either way,
+     * honoring the engine knobs (jobs, simplify, sbp) exactly as
+     * synthesizeAll would; the daemon lends each size job its resident
+     * encoding and keeps the encoding afterwards, while the one-shot
+     * CLI mode drops it. Suite bytes and progress counters are
+     * identical either way; resident encodings are built proof-less.
      */
     bool residentEncodings = false;
 };
 
 /**
  * The synthesis service: a suite store (optional) plus a cache of
- * resident BaseEncodings (optional). One instance per daemon or CLI
- * invocation; not thread-safe — callers serialize queries.
+ * resident BaseEncodings (optional). A query synthesizes its missing
+ * shards in one runSizeJobs call — one job per size, on SynthOptions::
+ * jobs threads — and streams progress lines from the caller thread.
+ * One instance per daemon or CLI invocation; not thread-safe — callers
+ * serialize queries.
  */
 class Service
 {
@@ -188,17 +191,6 @@ class Service
 
     /** Number of resident base encodings currently held. */
     size_t residentEncodings() const { return encodings.size(); }
-
-    /** Number of fully-assembled results held resident (daemon mode). */
-    size_t residentResults() const { return resultCache.size(); }
-
-    /** Drop every resident encoding and result (e.g. memory pressure). */
-    void evictEncodings()
-    {
-        encodings.clear();
-        resultCache.clear();
-        models.clear();
-    }
 
   private:
     ServiceConfig config;

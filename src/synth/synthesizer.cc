@@ -416,80 +416,59 @@ BaseEncoding::sweep(const mm::Model &model, const std::vector<Track> &tracks,
     return out;
 }
 
-namespace
+void
+runSizeJobs(const mm::Model &model, std::vector<SizeJob> &jobs,
+            const SynthOptions &options)
 {
-
-/**
- * Run every selected shard — one job per size with a selected track,
- * inline for jobs <= 1 and on a thread pool otherwise — returning the
- * raw per-(track, size) results. Each job builds its size's
- * BaseEncoding and sweeps the selected tracks through it, so no SAT or
- * relational state crosses threads. Deselected shards are skipped
- * entirely and their result slots stay empty — the service layer fills
- * them from the suite store. A track's result does not depend on which
- * others are swept: every track-specific clause dies with its layer.
- */
-std::vector<std::vector<ShardResult>>
-runShardTracks(const mm::Model &model, const std::vector<Track> &tracks,
-               const SynthOptions &options, const ShardSelector &selector)
-{
-    int num_sizes = std::max(0, options.maxSize - options.minSize + 1);
-    std::vector<std::vector<ShardResult>> results(
-        tracks.size(), std::vector<ShardResult>(num_sizes));
-
-    // swept[si]: indices of the tracks to sweep at size minSize + si.
-    std::vector<std::vector<size_t>> swept(static_cast<size_t>(num_sizes));
-    std::vector<int> jobs;
-    for (int si = 0; si < num_sizes; si++) {
-        for (size_t ti = 0; ti < tracks.size(); ti++) {
-            if (!selector ||
-                selector(tracks[ti].label, options.minSize + si))
-                swept[si].push_back(ti);
-        }
-        if (!swept[si].empty())
-            jobs.push_back(si);
-    }
     if (options.progress) {
         options.progress->jobsQueued.fetch_add(jobs.size(),
                                                std::memory_order_relaxed);
     }
-
-    auto run_size = [&](int si) {
-        std::vector<Track> selected;
-        for (size_t ti : swept[si])
-            selected.push_back(tracks[ti]);
-        BaseEncoding encoding(model, options.minSize + si, options);
-        std::vector<ShardResult> out =
-            encoding.sweep(model, selected, options);
-        for (size_t k = 0; k < out.size(); k++)
-            results[swept[si][k]][si] = std::move(out[k]);
+    auto run = [&model, &options](SizeJob &job) {
+        if (!job.encoding) {
+            job.encoding =
+                std::make_unique<BaseEncoding>(model, job.size, options);
+        }
+        job.shards = job.encoding->sweep(model, job.tracks, options);
+        if (!job.keepEncoding)
+            job.encoding.reset();
     };
-
     unsigned threads = ThreadPool::resolveThreads(options.jobs);
     if (options.jobs == 1 || threads <= 1 || jobs.size() <= 1) {
-        for (int si : jobs)
-            run_size(si);
-    } else {
-        ThreadPool pool(threads);
-        for (int si : jobs)
-            pool.submit([&run_size, si] { run_size(si); });
-        pool.wait();
+        for (SizeJob &job : jobs)
+            run(job);
+        return;
     }
-    return results;
+    ThreadPool pool(threads);
+    for (SizeJob &job : jobs)
+        pool.submit([&run, &job] { run(job); });
+    pool.wait();
 }
 
-/** runShardTracks plus the per-track merge into Suites. */
+namespace
+{
+
+/** One job per size, each sweeping every track, merged into Suites. */
 std::vector<Suite>
 runSynthesisTracks(const mm::Model &model, const std::vector<Track> &tracks,
                    const SynthOptions &options)
 {
-    std::vector<std::vector<ShardResult>> results =
-        runShardTracks(model, tracks, options, nullptr);
+    std::vector<SizeJob> jobs;
+    for (int size = options.minSize; size <= options.maxSize; size++) {
+        SizeJob &job = jobs.emplace_back();
+        job.size = size;
+        job.tracks = tracks;
+    }
+    runSizeJobs(model, jobs, options);
     std::vector<Suite> suites;
     suites.reserve(tracks.size());
     for (size_t ti = 0; ti < tracks.size(); ti++) {
-        suites.push_back(assembleShardSuite(model, tracks[ti].label,
-                                            results[ti], options.minSize));
+        std::vector<ShardResult> by_size;
+        by_size.reserve(jobs.size());
+        for (SizeJob &job : jobs)
+            by_size.push_back(std::move(job.shards[ti]));
+        suites.push_back(assembleShardSuite(model, tracks[ti].label, by_size,
+                                            options.minSize));
     }
     return suites;
 }
@@ -645,13 +624,6 @@ proofFilePath(const SynthOptions &options, const std::string &model, int size)
         return std::string();
     return options.proofDir + "/" + model + ".n" + std::to_string(size) +
            ".drat";
-}
-
-std::vector<std::vector<ShardResult>>
-synthesizeShards(const mm::Model &model, const SynthOptions &options,
-                 const ShardSelector &selector)
-{
-    return runShardTracks(model, allAxiomTracks(model), options, selector);
 }
 
 } // namespace lts::synth

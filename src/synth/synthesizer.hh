@@ -25,12 +25,13 @@
  * asserted once as a base fact, simplified, and given the symmetry-
  * breaking layer; each axiom's violation is then swept over it as a
  * retractable fact layer (rel::FactHandle) whose blocking clauses and
- * learned clauses are retired when the sweep moves on. The drivers run
- * one job per size — on a thread pool when SynthOptions::jobs != 1 —
- * and merge results in a fixed order (axiom declaration order, then
- * size, then canonical serialization), so the output is byte-identical
- * to a serial run regardless of completion order. The service's daemon
- * mode keeps the same BaseEncodings resident across requests.
+ * learned clauses are retired when the sweep moves on. Every synthesis
+ * goes through one runner, runSizeJobs: one SizeJob per size, on a
+ * thread pool when SynthOptions::jobs != 1. The drivers merge results
+ * in a fixed order (axiom declaration order, then size, then canonical
+ * serialization), so the output is byte-identical to a serial run
+ * regardless of completion order. The service's daemon mode lends the
+ * runner BaseEncodings it keeps resident across requests.
  */
 
 #ifndef LTS_SYNTH_SYNTHESIZER_HH
@@ -211,14 +212,6 @@ struct ShardResult
 };
 
 /**
- * Which (axiom, size) shards to synthesize; shards the selector rejects
- * are skipped entirely (no job queued, result left empty). A null
- * selector keeps every shard. The service layer uses this to
- * re-synthesize only the shards whose criterion formulas changed.
- */
-using ShardSelector = std::function<bool(const std::string &axiom, int size)>;
-
-/**
  * The proof file a size's trace lands in under options.proofDir: all
  * axioms of a size are swept over one solver, so they share one
  * "<model>.n<size>.drat". Returns an empty string when
@@ -226,16 +219,6 @@ using ShardSelector = std::function<bool(const std::string &axiom, int size)>;
  */
 std::string proofFilePath(const SynthOptions &options,
                           const std::string &model, int size);
-
-/**
- * Synthesize per-(axiom, size) shards for every axiom of the model:
- * result[a][s] is axiom a (declaration order) at size minSize + s.
- * Scheduling follows options.jobs exactly as synthesizeAll — this *is*
- * synthesizeAll minus the merge.
- */
-std::vector<std::vector<ShardResult>>
-synthesizeShards(const mm::Model &model, const SynthOptions &options,
-                 const ShardSelector &selector = nullptr);
 
 /**
  * Deterministic merge of one axiom's per-size shards into a Suite:
@@ -265,11 +248,11 @@ Track axiomTrack(const mm::Model &model, const std::string &axiom_name);
  * one. The constructor asserts the axiom-independent criterion
  * (minimalityBase) once, simplifies it, and installs symmetry breaking;
  * when options.proofDir is set it also owns the size's proof writer.
- * sweep then enumerates query families over it. The drivers build one
- * per size job; ltsd keeps them resident across requests, so
- * re-synthesizing one edited axiom's shard skips the encoding build
- * entirely. Not
- * thread-safe; one solver, one caller at a time. Shard output is
+ * sweep then enumerates query families over it. runSizeJobs builds one
+ * per SizeJob that arrives without one; ltsd keeps them resident across
+ * requests and lends them back in, so re-synthesizing one edited
+ * axiom's shard skips the encoding build entirely. Not thread-safe;
+ * one solver, one caller at a time. Shard output is
  * byte-identical to a sweep on a fresh encoding (the enumeration
  * already pins class-canonical representatives, so learned state never
  * leaks into the bytes).
@@ -309,6 +292,33 @@ class BaseEncoding
     struct Impl;
     std::unique_ptr<Impl> impl;
 };
+
+/**
+ * One size's share of a synthesis run: the tracks to sweep at @p size
+ * and the encoding to sweep them over. runSizeJobs builds the encoding
+ * when the slot is empty. With keepEncoding it stays in the slot after
+ * the sweep, so a caller that keeps encodings across runs (the
+ * service's daemon mode) lends one in and takes it back; otherwise it
+ * is freed as soon as the job ends, so a finished size's solver never
+ * adds to the peak memory of the sizes still running.
+ */
+struct SizeJob
+{
+    int size = 0;
+    std::vector<Track> tracks;
+    std::unique_ptr<BaseEncoding> encoding;
+    bool keepEncoding = false;
+    std::vector<ShardResult> shards; ///< one per track, set by runSizeJobs
+};
+
+/**
+ * Run every job — inline for options.jobs == 1 or a single job, on a
+ * thread pool otherwise — each sweeping its tracks over its encoding.
+ * No SAT or relational state crosses threads: a job touches only its
+ * own encoding. Adds jobs.size() to options.progress->jobsQueued.
+ */
+void runSizeJobs(const mm::Model &model, std::vector<SizeJob> &jobs,
+                 const SynthOptions &options);
 
 /** Synthesize the suite for one axiom. */
 Suite synthesizeAxiom(const mm::Model &model, const std::string &axiom_name,

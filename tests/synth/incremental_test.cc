@@ -6,7 +6,8 @@
  * axiom alone on a fresh (from-scratch) encoding — learned state carried
  * between axioms may change search effort, never what is emitted. The
  * same independence lets the service re-synthesize any subset of
- * (axiom, size) shards and get the cells of the full grid.
+ * (axiom, size) shards, one SizeJob per size, and get the cells of the
+ * full grid.
  */
 
 #include <gtest/gtest.h>
@@ -94,43 +95,35 @@ TEST(IncrementalEquivalenceTest, EnginesAgreeUnderParallelJobs)
     expectAxiomsAloneMatchFullSweep("tso", 4, opt);
 }
 
-TEST(IncrementalEquivalenceTest, SingleShardSelectorMatchesFullGrid)
+TEST(IncrementalEquivalenceTest, OneTrackSizeJobMatchesFullGrid)
 {
-    // The service re-synthesizes exactly the shards a selector names;
-    // each must equal its cell of the unselected grid, whatever else
-    // its size's sweep skips.
+    // The service re-synthesizes exactly its missing shards, one size
+    // job carrying only the missing axioms' tracks; each shard must
+    // equal its cell of the full grid, whatever else its size sweeps.
     auto tso = mm::makeModel("tso");
     SynthOptions opt;
     opt.maxSize = 4;
-    auto grid = synthesizeShards(*tso, opt);
+    std::vector<Suite> full = synthesizeAll(*tso, opt);
     for (size_t a = 0; a < tso->axioms().size(); a++) {
         const std::string &axiom = tso->axioms()[a].name;
         for (int size = opt.minSize; size <= opt.maxSize; size++) {
             SCOPED_TRACE(axiom + "@" + std::to_string(size));
-            auto cell = synthesizeShards(
-                *tso, opt, [&](const std::string &ax, int n) {
-                    return ax == axiom && n == size;
-                });
-            for (size_t b = 0; b < cell.size(); b++) {
-                for (size_t si = 0; si < cell[b].size(); si++) {
-                    const ShardResult &got = cell[b][si];
-                    int n = opt.minSize + static_cast<int>(si);
-                    if (b != a || n != size) {
-                        // Deselected shards stay empty.
-                        EXPECT_TRUE(got.tests.empty());
-                        EXPECT_EQ(got.rawInstances, 0u);
-                        continue;
-                    }
-                    const ShardResult &want = grid[b][si];
-                    EXPECT_EQ(got.rawInstances, want.rawInstances);
-                    EXPECT_EQ(got.truncated, want.truncated);
-                    ASSERT_EQ(got.tests.size(), want.tests.size());
-                    for (size_t t = 0; t < got.tests.size(); t++) {
-                        EXPECT_EQ(litmus::fullSerialize(got.tests[t]),
-                                  litmus::fullSerialize(want.tests[t]));
-                    }
-                }
+            std::vector<SizeJob> jobs(1);
+            jobs[0].size = size;
+            jobs[0].tracks = {axiomTrack(*tso, axiom)};
+            runSizeJobs(*tso, jobs, opt);
+            ASSERT_EQ(jobs[0].shards.size(), 1u);
+            const ShardResult &got = jobs[0].shards[0];
+            EXPECT_FALSE(got.truncated);
+            EXPECT_EQ(got.rawInstances, full[a].instancesBySize.at(size));
+            std::vector<std::string> want;
+            for (const auto &t : full[a].tests) {
+                if (static_cast<int>(t.size()) == size)
+                    want.push_back(litmus::fullSerialize(t));
             }
+            ASSERT_EQ(got.tests.size(), want.size());
+            for (size_t t = 0; t < got.tests.size(); t++)
+                EXPECT_EQ(litmus::fullSerialize(got.tests[t]), want[t]);
         }
     }
 }

@@ -95,8 +95,8 @@ TEST(ParallelSynthesisTest, ProgressCountersCoverEveryJob)
     EXPECT_EQ(progress.instances.load(), raw);
 
     // The job count follows the sizes swept, not the axioms: one axiom
-    // still costs one job per size, and a selector that keeps shards of
-    // one size only queues that size's job.
+    // still costs one job per size, and a single size-3 SizeJob
+    // carrying every axiom queues exactly one job.
     SynthProgress one_axiom;
     opt.progress = &one_axiom;
     synthesizeAxiom(*tso, "causality", opt);
@@ -105,8 +105,12 @@ TEST(ParallelSynthesisTest, ProgressCountersCoverEveryJob)
 
     SynthProgress one_size;
     opt.progress = &one_size;
-    synthesizeShards(*tso, opt,
-                     [](const std::string &, int size) { return size == 3; });
+    std::vector<SizeJob> jobs(1);
+    jobs[0].size = 3;
+    for (const auto &axiom : tso->axioms())
+        jobs[0].tracks.push_back(axiomTrack(*tso, axiom.name));
+    runSizeJobs(*tso, jobs, opt);
+    EXPECT_EQ(jobs[0].shards.size(), tso->axioms().size());
     EXPECT_EQ(one_size.jobsQueued.load(), 1u);
     EXPECT_EQ(one_size.jobsDone.load(), 1u);
     EXPECT_EQ(one_size.jobsRunning.load(), 0u);

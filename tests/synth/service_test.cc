@@ -141,86 +141,99 @@ TEST_F(ServiceTest, RegistryWideWarmResidentMatchesColdSynthesizeAll)
 
 TEST_F(ServiceTest, EditingOneAxiomResynthesizesOnlyItsShards)
 {
-    auto model = mm::makeModel("tso");
-    const std::string edited = model->axioms().front().name;
-    const size_t n_axioms = model->axioms().size();
-    ASSERT_GT(n_axioms, 1u);
+    // At jobs 4 the daemon's size jobs run on pool threads with their
+    // borrowed encodings; the cache must come back whole either way.
+    for (int jobs : {1, 4}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        fs::remove_all(dir); // fresh store per job count
+        auto model = mm::makeModel("tso");
+        const std::string edited = model->axioms().front().name;
+        const size_t n_axioms = model->axioms().size();
+        ASSERT_GT(n_axioms, 1u);
 
-    // Freeze the relaxed form first: relaxedPred defaults to pred, and
-    // the minimality base renders every axiom's relaxed form, so editing
-    // pred without pinning relaxedPred would invalidate the shared base
-    // encodings (and every shard) instead of one axiom's shards.
-    auto &target = model->axiomMut(edited);
-    target.relaxedPred = target.pred;
+        // Freeze the relaxed form first: relaxedPred defaults to pred,
+        // and the minimality base renders every axiom's relaxed form, so
+        // editing pred without pinning relaxedPred would invalidate the
+        // shared base encodings (and every shard) instead of one axiom's
+        // shards.
+        auto &target = model->axiomMut(edited);
+        target.relaxedPred = target.pred;
 
-    synth::SuiteRequest request;
-    request.model = "tso";
-    request.maxSize = 4;
-    const size_t n_sizes =
-        static_cast<size_t>(request.maxSize - request.options.minSize + 1);
+        synth::SuiteRequest request;
+        request.model = "tso";
+        request.maxSize = 4;
+        request.options.jobs = jobs;
+        const size_t n_sizes = static_cast<size_t>(
+            request.maxSize - request.options.minSize + 1);
 
-    synth::Service daemonish(storeConfig(/*resident=*/true));
-    synth::SuiteResult before = daemonish.query(*model, request);
-    EXPECT_EQ(before.shardsSynthesized, n_axioms * n_sizes);
-    size_t encodings_before = daemonish.residentEncodings();
-    EXPECT_GT(encodings_before, 0u);
+        synth::Service daemonish(storeConfig(/*resident=*/true));
+        synth::SuiteResult before = daemonish.query(*model, request);
+        EXPECT_EQ(before.shardsSynthesized, n_axioms * n_sizes);
+        size_t encodings_before = daemonish.residentEncodings();
+        EXPECT_GT(encodings_before, 0u);
 
-    // Edit the axiom's predicate to a structurally different, logically
-    // equivalent formula: the axiom's violation digest changes, the
-    // shared base formula does not.
-    auto original = target.pred;
-    target.pred = [original](const mm::Model &m, const mm::Env &env,
-                             size_t n) {
-        auto f = original(m, env, n);
-        return rel::mkAnd(f, f);
-    };
+        // Edit the axiom's predicate to a structurally different,
+        // logically equivalent formula: the axiom's violation digest
+        // changes, the shared base formula does not.
+        auto original = target.pred;
+        target.pred = [original](const mm::Model &m, const mm::Env &env,
+                                 size_t n) {
+            auto f = original(m, env, n);
+            return rel::mkAnd(f, f);
+        };
 
-    synth::SuiteResult after = daemonish.query(*model, request);
-    EXPECT_EQ(after.cache, synth::CacheOutcome::Partial);
-    EXPECT_EQ(after.shardsSynthesized, n_sizes);
-    EXPECT_EQ(after.shardsCached, (n_axioms - 1) * n_sizes);
-    for (const auto &shard : after.shards) {
-        EXPECT_EQ(shard.cached, shard.axiom != edited)
-            << shard.axiom << "@" << shard.size;
+        synth::SuiteResult after = daemonish.query(*model, request);
+        EXPECT_EQ(after.cache, synth::CacheOutcome::Partial);
+        EXPECT_EQ(after.shardsSynthesized, n_sizes);
+        EXPECT_EQ(after.shardsCached, (n_axioms - 1) * n_sizes);
+        for (const auto &shard : after.shards) {
+            EXPECT_EQ(shard.cached, shard.axiom != edited)
+                << shard.axiom << "@" << shard.size;
+        }
+        // Only the edited axiom's shards went through a solver...
+        EXPECT_EQ(after.progress.jobsQueued, n_sizes);
+        EXPECT_EQ(after.progress.jobsDone, n_sizes);
+        // ...on the base encodings that stayed resident across the edit.
+        EXPECT_EQ(daemonish.residentEncodings(), encodings_before);
+
+        // The edit was logically a no-op, so the suite bytes must agree.
+        EXPECT_EQ(after.suiteDigest, before.suiteDigest);
     }
-    // Only the edited axiom's shards went through a solver...
-    EXPECT_EQ(after.progress.jobsQueued, n_sizes);
-    EXPECT_EQ(after.progress.jobsDone, n_sizes);
-    // ...on the base encodings that stayed resident across the edit.
-    EXPECT_EQ(daemonish.residentEncodings(), encodings_before);
-
-    // The edit was logically a no-op, so the suite bytes must agree.
-    EXPECT_EQ(after.suiteDigest, before.suiteDigest);
 }
 
 TEST_F(ServiceTest, ResidentAndOneShotColdQueriesCountTheSameWork)
 {
     // Daemon mode sweeps misses over resident encodings, one-shot mode
     // over per-query ones; the same cold query must report the same
-    // work either way, construction-time simplify included.
-    for (const char *name : {"tso", "scc"}) {
-        SCOPED_TRACE(name);
-        synth::SuiteRequest request;
-        request.model = name;
-        request.maxSize = 3;
-        synth::SynthProgressSnapshot p[2];
-        for (bool resident : {false, true}) {
-            synth::ServiceConfig config;
-            config.residentEncodings = resident;
-            synth::Service service(config);
-            p[resident] = service.query(request).progress;
+    // work either way, construction-time simplify included, serially
+    // and with size jobs on pool threads.
+    for (int jobs : {1, 4}) {
+        for (const char *name : {"tso", "scc"}) {
+            SCOPED_TRACE(std::string(name) + " jobs " +
+                         std::to_string(jobs));
+            synth::SuiteRequest request;
+            request.model = name;
+            request.maxSize = 3;
+            request.options.jobs = jobs;
+            synth::SynthProgressSnapshot p[2];
+            for (bool resident : {false, true}) {
+                synth::ServiceConfig config;
+                config.residentEncodings = resident;
+                synth::Service service(config);
+                p[resident] = service.query(request).progress;
+            }
+            EXPECT_EQ(p[0].jobsQueued, 2u);
+            EXPECT_GT(p[0].eliminatedVars, 0u);
+            EXPECT_EQ(p[1].jobsQueued, p[0].jobsQueued);
+            EXPECT_EQ(p[1].jobsRunning, p[0].jobsRunning);
+            EXPECT_EQ(p[1].jobsDone, p[0].jobsDone);
+            EXPECT_EQ(p[1].conflicts, p[0].conflicts);
+            EXPECT_EQ(p[1].restarts, p[0].restarts);
+            EXPECT_EQ(p[1].instances, p[0].instances);
+            EXPECT_EQ(p[1].sbpClauses, p[0].sbpClauses);
+            EXPECT_EQ(p[1].eliminatedVars, p[0].eliminatedVars);
+            EXPECT_EQ(p[1].subsumedClauses, p[0].subsumedClauses);
         }
-        EXPECT_EQ(p[0].jobsQueued, 2u);
-        EXPECT_GT(p[0].eliminatedVars, 0u);
-        EXPECT_EQ(p[1].jobsQueued, p[0].jobsQueued);
-        EXPECT_EQ(p[1].jobsRunning, p[0].jobsRunning);
-        EXPECT_EQ(p[1].jobsDone, p[0].jobsDone);
-        EXPECT_EQ(p[1].conflicts, p[0].conflicts);
-        EXPECT_EQ(p[1].restarts, p[0].restarts);
-        EXPECT_EQ(p[1].instances, p[0].instances);
-        EXPECT_EQ(p[1].sbpClauses, p[0].sbpClauses);
-        EXPECT_EQ(p[1].eliminatedVars, p[0].eliminatedVars);
-        EXPECT_EQ(p[1].subsumedClauses, p[0].subsumedClauses);
     }
 }
 

@@ -332,36 +332,6 @@ printResultStats(const synth::SuiteResult &result, double wall_seconds)
                  static_cast<unsigned long long>(result.shardsSynthesized));
 }
 
-void
-writeBenchRecord(const std::string &path, const synth::SuiteRequest &request,
-                 const synth::SuiteResult &result, double wall_seconds)
-{
-    const synth::Suite &suite = result.unionSuite();
-    const synth::SynthProgressSnapshot &p = result.progress;
-    const synth::SynthOptions &opt = request.options;
-    bench::ModeRun run;
-    run.mode = bench::modeName(opt);
-    run.sbp = opt.symmetryBreaking;
-    run.simplify = opt.simplify;
-    run.wallSeconds = wall_seconds;
-    run.cpuSeconds = suite.totalSeconds();
-    run.jobsQueued = p.jobsQueued;
-    run.jobsDone = p.jobsDone;
-    run.conflicts = p.conflicts;
-    run.restarts = p.restarts;
-    run.instances = p.instances;
-    run.sbpClauses = p.sbpClauses;
-    run.eliminatedVars = p.eliminatedVars;
-    run.subsumedClauses = p.subsumedClauses;
-    run.instancesBySize = suite.instancesBySize;
-    run.keptBySize = suite.testsBySize;
-    run.sbpClausesBySize = suite.sbpClausesBySize;
-    run.suiteDigest = bench::suiteDigest(suite);
-    std::string axiom = request.axiom.empty() ? "union" : request.axiom;
-    bench::writeBenchJson(path, "ltsgen-" + request.model + "-" + axiom,
-                          request.model, opt.minSize, opt.maxSize, {run});
-}
-
 /** Build a SuiteRequest from parsed flags (model/axiom/synth knobs). */
 bool
 requestFromFlags(const Flags &flags, synth::SuiteRequest &request)
@@ -444,8 +414,6 @@ declareSynthVerbFlags(Flags &flags)
     flags.declare("store", "",
                   "content-addressed suite store directory; repeat "
                   "queries are answered from it byte-identically");
-    flags.declare("bench-json", "",
-                  "write a BENCH_*.json baseline for this run ('' = skip)");
     flags.declare("proof-check", "false",
                   "after synthesis, run the independent DRAT checker over "
                   "every proof in the --proof directory (a temporary "
@@ -505,10 +473,6 @@ cmdSynth(int argc, char **argv)
 
     if (flags.getBool("stats"))
         printResultStats(result, wall.seconds());
-    if (!flags.get("bench-json").empty()) {
-        writeBenchRecord(flags.get("bench-json"), request, result,
-                         wall.seconds());
-    }
 
     if (proof_check) {
         std::fprintf(stderr, "ltsgen: checking proofs under %s\n",
@@ -689,7 +653,12 @@ cmdBench(int argc, char **argv)
         std::fprintf(stderr, "ltsgen: %s\n", e.what());
         return 1;
     }
-    writeBenchRecord(flags.get("json"), request, result, wall.seconds());
+    const synth::SynthOptions &opt = request.options;
+    std::string axiom = request.axiom.empty() ? "union" : request.axiom;
+    bench::writeBenchJson(flags.get("json"),
+                          "ltsgen-" + request.model + "-" + axiom,
+                          request.model, opt.minSize, opt.maxSize,
+                          {bench::modeRun(result, opt, wall.seconds())});
     return 0;
 }
 
