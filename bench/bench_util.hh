@@ -121,27 +121,6 @@ printRuntimeTable(const std::vector<synth::Suite> &suites, int min_size,
     }
 }
 
-/**
- * Scheduling and solver-work summary for a sharded synthesis run: job
- * counts, aggregate SAT work, and wall-clock vs. aggregate CPU time so
- * the runtime figures (13c/16c/20b) can report both.
- */
-inline void
-printParallelStats(const synth::SynthProgress &progress, int jobs,
-                   double wall_seconds, double cpu_seconds)
-{
-    std::printf("parallel synthesis: %u worker(s); %llu/%llu jobs done; "
-                "%llu SAT conflicts; %llu instances enumerated\n",
-                ThreadPool::resolveThreads(jobs),
-                static_cast<unsigned long long>(progress.jobsDone.load()),
-                static_cast<unsigned long long>(progress.jobsQueued.load()),
-                static_cast<unsigned long long>(progress.conflicts.load()),
-                static_cast<unsigned long long>(progress.instances.load()));
-    std::printf("wall-clock %.2fs, aggregate CPU %.2fs (%.2fx)\n",
-                wall_seconds, cpu_seconds,
-                wall_seconds > 0 ? cpu_seconds / wall_seconds : 0.0);
-}
-
 /** Aggregate CPU seconds over per-axiom suites (excluding the union,
  *  whose per-size seconds are already the sum of its parts). */
 inline double

@@ -31,12 +31,6 @@ cellIn(const ExprPtr &r, size_t i, size_t j, size_t n)
                                 singleton(j, n)));
 }
 
-FormulaPtr
-atomIn(const ExprPtr &s, size_t i, size_t n)
-{
-    return mkSome(mkIntersect(s, singleton(i, n)));
-}
-
 ExprPtr
 mem(const Env &env)
 {

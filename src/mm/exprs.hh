@@ -51,9 +51,6 @@ rel::ExprPtr indexLt(size_t n);
 /** Formula: the pair (i, j) is in relation @p r. */
 rel::FormulaPtr cellIn(const rel::ExprPtr &r, size_t i, size_t j, size_t n);
 
-/** Formula: atom @p i is in set @p s. */
-rel::FormulaPtr atomIn(const rel::ExprPtr &s, size_t i, size_t n);
-
 /** All memory events: R + W. */
 rel::ExprPtr mem(const Env &env);
 

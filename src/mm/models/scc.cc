@@ -20,6 +20,19 @@
  * Figure 18); the model therefore constrains tests to at most one sc edge
  * and checks relaxed executions against causality_wa (Figure 19), which
  * also tries the reversed sc edge.
+ *
+ * Scoped SCC ("sscc") extends SCC with OpenCL/HSA-style synchronization
+ * scopes, standing in for the scoped models of Table 2 (HSA, OpenCL) so
+ * the DS (demote scope) relaxation is exercised end to end. Threads are
+ * grouped into workgroups (the swg equivalence). Every synchronizing
+ * operation (acquire read, release write, fence) carries a scope:
+ * workgroup or system. A release-acquire synchronization edge takes
+ * effect only when both endpoints' scopes cover their distance —
+ * same-workgroup pairs synchronize at any scope, cross-workgroup pairs
+ * only when both ends are system-scoped (the "too narrow scope is
+ * insufficient" behavior of Section 3.2's DS discussion). FenceSC is
+ * always system-scoped. Everything else is SCC, including the lone-sc
+ * workaround.
  */
 
 #include "mm/exprs.hh"
@@ -33,8 +46,9 @@ using namespace rel;
 namespace
 {
 
+/** SCC sync; @p scoped gates it by scope coverage (sscc). */
 ExprPtr
-sccSync(const Env &env)
+sccSync(const Env &env, bool scoped)
 {
     ExprPtr f = env.get(kF);
     ExprPtr acq = env.get(kAcq);
@@ -48,52 +62,40 @@ sccSync(const Env &env)
     ExprPtr chain = mkClosure(env.get(kRf) + env.get(kRmw));
     ExprPtr releasers = rel_set + f;
     ExprPtr acquirers = acq + f;
-    return mkRanRestrict(
+    ExprPtr sync = mkRanRestrict(
         mkDomRestrict(releasers, mkJoin(prefix, mkJoin(chain, suffix))),
         acquirers);
+    if (!scoped)
+        return sync;
+
+    // Coverage: same workgroup, or both endpoints system-scoped.
+    ExprPtr s_sys = env.get(kScopeSys);
+    ExprPtr covered = env.get(kSameWg) + mkProduct(s_sys, s_sys);
+    return sync & covered;
 }
 
 /** cause with the given sc edge orientation. */
 ExprPtr
-sccCause(const Env &env, const ExprPtr &sc)
+sccCause(const Env &env, const ExprPtr &sc, bool scoped)
 {
     ExprPtr po_star = mkRClosure(env.get(kPo));
-    return mkJoin(po_star, mkJoin(sc + sccSync(env), po_star));
+    return mkJoin(po_star, mkJoin(sc + sccSync(env, scoped), po_star));
 }
 
 FormulaPtr
-sccCausality(const Env &env, const ExprPtr &sc)
+sccCausality(const Env &env, const ExprPtr &sc, bool scoped)
 {
     return mkIrreflexive(
-        mkJoin(mkRClosure(com(env)), mkClosure(sccCause(env, sc))));
+        mkJoin(mkRClosure(com(env)), mkClosure(sccCause(env, sc, scoped))));
 }
 
-} // namespace
-
-namespace
-{
-
-std::unique_ptr<Model> makeSccImpl(bool workaround);
-
-} // namespace
-
+/**
+ * The one builder behind scc, scc-strict and sscc. @p workaround turns
+ * on the Figure 19 relaxed causality check; @p scoped adds sscc's
+ * scopes, its scope-gated sync and the DS relaxation.
+ */
 std::unique_ptr<Model>
-makeScc()
-{
-    return makeSccImpl(true);
-}
-
-std::unique_ptr<Model>
-makeSccStrict()
-{
-    return makeSccImpl(false);
-}
-
-namespace
-{
-
-std::unique_ptr<Model>
-makeSccImpl(bool workaround)
+makeSccImpl(bool workaround, bool scoped)
 {
     ModelFeatures feats;
     feats.fences = true;
@@ -103,20 +105,27 @@ makeSccImpl(bool workaround)
     feats.acqRelFence = true;  // FenceAcqRel
     feats.scFence = true;      // FenceSC
     feats.scOrder = true;      // explicit sc total order (lone, Figure 19)
+    feats.scopes = scoped;
 
-    auto model = std::make_unique<Model>(workaround ? "scc" : "scc-strict",
-                                         feats);
+    auto model = std::make_unique<Model>(
+        scoped ? "sscc" : workaround ? "scc" : "scc-strict", feats);
 
     // SCC annotations: acquires are reads, releases are writes (the
     // ARMv8-like opcodes of Figure 17), fences are AcqRel or SC.
     model->addExtraFact(
-        "scc.annotation-carriers",
-        [](const Model &, const Env &env, size_t) {
-        return mkAndAll({
+        scoped ? "sscc.annotation-carriers" : "scc.annotation-carriers",
+        [scoped](const Model &, const Env &env, size_t) {
+        std::vector<FormulaPtr> carriers = {
             mkSubset(env.get(kAcq), env.get(kR)),
             mkSubset(env.get(kRel), env.get(kW)),
             mkSubset(env.get(kF), env.get(kAcqRel) + env.get(kSc)),
-        });
+        };
+        if (scoped) {
+            // FenceSC is inherently system-scoped.
+            carriers.push_back(
+                mkSubset(env.get(kF) & env.get(kSc), env.get(kScopeSys)));
+        }
+        return mkAndAll(carriers);
     });
 
     model->addAxiom(Axiom{
@@ -144,15 +153,16 @@ makeSccImpl(bool workaround)
     });
     Axiom causality;
     causality.name = "causality";
-    causality.pred = [](const Model &, const Env &env, size_t) {
-        return sccCausality(env, env.get(kScOrd));
+    causality.pred = [scoped](const Model &, const Env &env, size_t) {
+        return sccCausality(env, env.get(kScOrd), scoped);
     };
     if (workaround) {
         // Figure 19: when checking relaxed executions, also accept the
         // reversed sc edge, emulating enumeration over sc orders.
-        causality.relaxedPred = [](const Model &, const Env &env, size_t) {
-            return sccCausality(env, env.get(kScOrd)) ||
-                   sccCausality(env, mkTranspose(env.get(kScOrd)));
+        causality.relaxedPred = [scoped](const Model &, const Env &env,
+                                         size_t) {
+            return sccCausality(env, env.get(kScOrd), scoped) ||
+                   sccCausality(env, mkTranspose(env.get(kScOrd)), scoped);
         };
     }
     model->addAxiom(std::move(causality));
@@ -180,9 +190,46 @@ makeSccImpl(bool workaround)
     }
     model->addRelaxation(
         makeDemote(RTag::DF, "DF(ar->rlx)", kAcqRel, std::nullopt, kF));
+
+    if (scoped) {
+        // DS: narrow a system-scoped synchronizing op to workgroup scope.
+        // FenceSC is excluded (pinned to system scope by the facts above).
+        Relaxation ds;
+        ds.tag = RTag::DS;
+        ds.name = "DS(sys->wg)";
+        ds.applies = [](const Env &env, const ExprPtr &ev, size_t) {
+            ExprPtr fence_sc = env.get(kF) & env.get(kSc);
+            return mkSome((ev & env.get(kScopeSys)) - fence_sc);
+        };
+        ds.perturb = [](const Env &env, const ExprPtr &ev, size_t) {
+            Env out = env;
+            out.set(kScopeSys, env.get(kScopeSys) - ev);
+            out.set(kScopeWg, env.get(kScopeWg) + ev);
+            return out;
+        };
+        model->addRelaxation(ds);
+    }
     return model;
 }
 
 } // namespace
+
+std::unique_ptr<Model>
+makeScc()
+{
+    return makeSccImpl(true, false);
+}
+
+std::unique_ptr<Model>
+makeSccStrict()
+{
+    return makeSccImpl(false, false);
+}
+
+std::unique_ptr<Model>
+makeScopedScc()
+{
+    return makeSccImpl(true, true);
+}
 
 } // namespace lts::mm

@@ -391,23 +391,6 @@ Encoder::extract(const sat::Solver &solver) const
 }
 
 sat::Clause
-Encoder::blockingClause(const sat::Solver &solver,
-                        const std::vector<int> &var_ids) const
-{
-    std::vector<int> ids = var_ids;
-    if (ids.empty()) {
-        for (size_t id = 0; id < vocab.size(); id++)
-            ids.push_back(static_cast<int>(id));
-    }
-    sat::Clause clause;
-    for (int id : ids) {
-        for (sat::Var v : cellVars[id])
-            clause.push_back(sat::Lit(v, solver.modelValue(v)));
-    }
-    return clause;
-}
-
-sat::Clause
 Encoder::blockingClause(const Instance &inst,
                         const std::vector<int> &var_ids) const
 {
@@ -596,7 +579,7 @@ void
 RelSolver::blockModel(const std::vector<int> &var_ids, FactHandle under)
 {
     // Block from the stored instance, not the raw solver model: after
-    // lexMinimizeInstance the two can disagree, and the documented
+    // pinAndMinimize the two can disagree, and the documented
     // contract is "exclude the last *instance*".
     blockInstance(lastInstance, var_ids, under);
 }
@@ -678,20 +661,6 @@ RelSolver::lexWalk(std::vector<sat::Lit> &assume, const std::vector<char> &fixed
             }
         }
     }
-}
-
-void
-RelSolver::lexMinimizeInstance(const std::vector<int> &fixed_var_ids)
-{
-    std::vector<char> fixed(enc.vocabulary().size(), 0);
-    for (int id : fixed_var_ids)
-        fixed[static_cast<size_t>(id)] = 1;
-
-    std::vector<sat::Lit> assume;
-    for (FactHandle h : liveFacts)
-        assume.push_back(solver.groupLit(h));
-    pushPins(lastInstance, fixed, assume);
-    lexWalk(assume, fixed);
 }
 
 bool

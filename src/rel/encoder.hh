@@ -88,13 +88,9 @@ class Encoder
     Instance extract(const sat::Solver &solver) const;
 
     /**
-     * Build a blocking clause excluding the current model's assignment to
-     * the given relation variables (all relations when @p var_ids empty).
+     * Build a blocking clause excluding @p inst's assignment to the given
+     * relation variables (all relations when @p var_ids empty).
      */
-    sat::Clause blockingClause(const sat::Solver &solver,
-                               const std::vector<int> &var_ids) const;
-
-    /** Blocking clause from a stored instance instead of a solver model. */
     sat::Clause blockingClause(const Instance &inst,
                                const std::vector<int> &var_ids) const;
 
@@ -209,25 +205,14 @@ class RelSolver
     const Instance &instance() const { return lastInstance; }
 
     /**
-     * Replace the last instance with the lexicographically smallest
-     * model (declared relations in id order, cells row-major, false
-     * before true) that agrees with it on @p fixed_var_ids, under the
-     * live fact layers and every accumulated clause. The result is a
-     * pure function of the fixed assignment and the constraint set,
-     * independent of SAT search state — the synthesizer relies on this
-     * to emit identical witness executions from either engine.
-     */
-    void lexMinimizeInstance(const std::vector<int> &fixed_var_ids);
-
-    /**
      * Pin @p pinned_var_ids to their values in @p pin and find the
-     * lexicographically smallest completion (same order as
-     * lexMinimizeInstance) under exactly the given fact layers — not the
-     * full live set, so enumeration-only layers (symmetry breaking,
-     * blocking) can be left out. Returns false when no completion exists
-     * (or a conflict budget ran out); on success instance() holds the
-     * result, which is a pure function of the pinned assignment and the
-     * active constraint set.
+     * lexicographically smallest completion (declared relations in id
+     * order, cells row-major, false before true) under exactly the
+     * given fact layers — not the full live set, so enumeration-only
+     * layers (symmetry breaking, blocking) can be left out. Returns
+     * false when no completion exists (or a conflict budget ran out); on
+     * success instance() holds the result, which is a pure function of
+     * the pinned assignment and the active constraint set.
      */
     bool pinAndMinimize(const Instance &pin,
                         const std::vector<int> &pinned_var_ids,

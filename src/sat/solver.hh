@@ -206,9 +206,6 @@ class Solver
      */
     void setProof(DratWriter *writer);
 
-    /** Whether a proof writer is attached. */
-    bool hasProof() const { return proof != nullptr; }
-
     /**
      * Log the most recent Unsat answer as a proof conclusion ('u'): the
      * negated failed assumptions (the empty clause for an assumption-

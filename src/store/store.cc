@@ -78,6 +78,24 @@ writeAll(int fd, const char *p, size_t len)
     }
 }
 
+/** The on-disk bytes of one record (see the format in store.hh). */
+std::string
+encodeRecord(uint8_t type, const std::string &key, const std::string &value)
+{
+    std::string rec;
+    rec.reserve(kHeaderBytes + key.size() + value.size() + kTrailerBytes);
+    putU32(rec, kMagic);
+    rec.push_back(static_cast<char>(type));
+    putU32(rec, static_cast<uint32_t>(key.size()));
+    putU32(rec, static_cast<uint32_t>(value.size()));
+    rec += key;
+    rec += value;
+    uint32_t crc = crc32Init();
+    crc = crc32Update(crc, rec.data() + 4, rec.size() - 4);
+    putU32(rec, crc32Final(crc));
+    return rec;
+}
+
 /**
  * Decode one record at @p offset. Returns false when the bytes from
  * @p offset to EOF do not form an intact record (short, bad magic,
@@ -174,8 +192,7 @@ FsckReport::summary() const
     return buf;
 }
 
-SuiteStore::SuiteStore(std::string dir_, size_t cache_budget)
-    : dir(std::move(dir_)), cacheBudget(cache_budget)
+SuiteStore::SuiteStore(std::string dir_) : dir(std::move(dir_))
 {
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
@@ -262,17 +279,7 @@ void
 SuiteStore::appendRecord(uint8_t type, const std::string &key,
                          const std::string &value)
 {
-    std::string rec;
-    rec.reserve(kHeaderBytes + key.size() + value.size() + kTrailerBytes);
-    putU32(rec, kMagic);
-    rec.push_back(static_cast<char>(type));
-    putU32(rec, static_cast<uint32_t>(key.size()));
-    putU32(rec, static_cast<uint32_t>(value.size()));
-    rec += key;
-    rec += value;
-    uint32_t crc = crc32Init();
-    crc = crc32Update(crc, rec.data() + 4, rec.size() - 4);
-    putU32(rec, crc32Final(crc));
+    const std::string rec = encodeRecord(type, key, value);
     writeAll(fd, rec.data(), rec.size());
 
     auto it = index.find(key);
@@ -313,28 +320,19 @@ SuiteStore::put(const std::string &key, const std::string &value)
         }
     }
     appendRecord(kTypePut, key, value);
-    cacheInsert(key, value);
 }
 
 std::optional<std::string>
-SuiteStore::get(const std::string &key)
+SuiteStore::get(const std::string &key) const
 {
-    auto cached = cacheMap.find(key);
-    if (cached != cacheMap.end()) {
-        hits++;
-        lru.splice(lru.begin(), lru, cached->second); // refresh recency
-        return cached->second->second;
-    }
     auto it = index.find(key);
     if (it == index.end())
         return std::nullopt;
-    misses++;
     std::string value(it->second.valueLen, '\0');
     if (!value.empty() &&
         !preadAll(fd, value.data(), value.size(), it->second.valueOffset)) {
         throw std::runtime_error("store: short read in " + segmentPath());
     }
-    cacheInsert(key, value);
     return value;
 }
 
@@ -350,7 +348,6 @@ SuiteStore::erase(const std::string &key)
     if (index.count(key) == 0)
         return;
     appendRecord(kTypeTombstone, key, "");
-    cacheErase(key);
 }
 
 std::vector<std::string>
@@ -373,10 +370,6 @@ SuiteStore::stats() const
     s.deadBytes = deadBytes;
     s.liveBytes = fileSize - deadBytes;
     s.tornBytesDropped = tornDropped;
-    s.cacheBytes = cacheBytes;
-    s.cacheHits = hits;
-    s.cacheMisses = misses;
-    s.cacheEvictions = evictions;
     return s;
 }
 
@@ -433,16 +426,7 @@ SuiteStore::compact()
     }
     try {
         for (const auto &[key, value] : records) {
-            std::string rec;
-            putU32(rec, kMagic);
-            rec.push_back(static_cast<char>(kTypePut));
-            putU32(rec, static_cast<uint32_t>(key.size()));
-            putU32(rec, static_cast<uint32_t>(value.size()));
-            rec += key;
-            rec += value;
-            uint32_t crc = crc32Init();
-            crc = crc32Update(crc, rec.data() + 4, rec.size() - 4);
-            putU32(rec, crc32Final(crc));
+            const std::string rec = encodeRecord(kTypePut, key, value);
             writeAll(tmp, rec.data(), rec.size());
         }
     } catch (...) {
@@ -474,35 +458,6 @@ SuiteStore::flush()
         throw std::runtime_error("store: fsync failed: " +
                                  std::string(std::strerror(errno)));
     }
-}
-
-void
-SuiteStore::cacheInsert(const std::string &key, std::string value)
-{
-    cacheErase(key);
-    if (value.size() > cacheBudget)
-        return; // larger than the whole budget; serve from disk only
-    cacheBytes += value.size();
-    lru.emplace_front(key, std::move(value));
-    cacheMap[key] = lru.begin();
-    while (cacheBytes > cacheBudget && !lru.empty()) {
-        auto &victim = lru.back();
-        cacheBytes -= victim.second.size();
-        cacheMap.erase(victim.first);
-        lru.pop_back();
-        evictions++;
-    }
-}
-
-void
-SuiteStore::cacheErase(const std::string &key)
-{
-    auto it = cacheMap.find(key);
-    if (it == cacheMap.end())
-        return;
-    cacheBytes -= it->second->second.size();
-    lru.erase(it->second);
-    cacheMap.erase(it);
 }
 
 } // namespace lts::store

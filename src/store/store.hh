@@ -26,17 +26,17 @@
  * rewrites only live records into a temp segment and renames it into
  * place, which is atomic within a directory.
  *
- * Reads go through an LRU page cache bounded by a byte budget, so a
- * daemon answering repeat queries serves hot suites from memory without
- * holding the whole store. The class is not thread-safe; ltsd serializes
- * requests onto one thread.
+ * The store keeps no copy of any value: get() is an index lookup plus
+ * one pread(2) of the value bytes. Callers that want answers in memory
+ * cache them above the store (synth::Service keeps its resident
+ * results). The class is not thread-safe; ltsd serializes requests
+ * onto one thread.
  */
 
 #ifndef LTS_STORE_STORE_HH
 #define LTS_STORE_STORE_HH
 
 #include <cstdint>
-#include <list>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -54,10 +54,6 @@ struct StoreStats
     uint64_t liveBytes = 0;  ///< bytes of live records
     uint64_t deadBytes = 0;  ///< bytes reclaimable by compact()
     uint64_t tornBytesDropped = 0; ///< tail bytes truncated on open
-    uint64_t cacheBytes = 0;     ///< value bytes resident in the LRU cache
-    uint64_t cacheHits = 0;      ///< get() answered from cache
-    uint64_t cacheMisses = 0;    ///< get() read from the segment
-    uint64_t cacheEvictions = 0; ///< values evicted to fit the budget
 };
 
 /** Result of a full-segment integrity scan (`lts-store fsck`). */
@@ -88,16 +84,13 @@ FsckReport fsckSegment(const std::string &segment_path);
 class SuiteStore
 {
   public:
-    static constexpr size_t kDefaultCacheBudget = 64u << 20;
-
     /**
      * Open (creating if needed) the store rooted at directory @p dir;
      * the segment lives at dir/segment.log. Scans the segment to
      * rebuild the index, truncating a torn tail. Throws
      * std::runtime_error when the directory or segment is unusable.
      */
-    explicit SuiteStore(std::string dir,
-                        size_t cache_budget = kDefaultCacheBudget);
+    explicit SuiteStore(std::string dir);
     ~SuiteStore();
 
     SuiteStore(const SuiteStore &) = delete;
@@ -106,8 +99,12 @@ class SuiteStore
     /** Store @p value under @p key (appends; supersedes prior values). */
     void put(const std::string &key, const std::string &value);
 
-    /** Fetch the live value for @p key, via the LRU cache. */
-    std::optional<std::string> get(const std::string &key);
+    /**
+     * Fetch the live value for @p key: an index lookup plus one read of
+     * the value bytes from the segment. Throws std::runtime_error on a
+     * short read.
+     */
+    std::optional<std::string> get(const std::string &key) const;
 
     /** True iff @p key has a live value (no I/O). */
     bool contains(const std::string &key) const;
@@ -148,8 +145,6 @@ class SuiteStore
     void scanSegment();
     void appendRecord(uint8_t type, const std::string &key,
                       const std::string &value);
-    void cacheInsert(const std::string &key, std::string value);
-    void cacheErase(const std::string &key);
 
     std::string dir;
     int fd = -1;
@@ -159,16 +154,6 @@ class SuiteStore
     uint64_t deadBytes = 0;
     uint64_t recordCount = 0;
     uint64_t tornDropped = 0;
-
-    // LRU cache: most-recent at the front; lookup maps key -> list node.
-    size_t cacheBudget;
-    size_t cacheBytes = 0;
-    std::list<std::pair<std::string, std::string>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, std::string>>::
-                           iterator>
-        cacheMap;
-    mutable uint64_t hits = 0, misses = 0, evictions = 0;
 };
 
 } // namespace lts::store

@@ -142,7 +142,6 @@ runDaemon(const DaemonConfig &config, const std::atomic<bool> *stop)
 
     ServiceConfig service_config;
     service_config.storeDir = config.storeDir;
-    service_config.cacheBudget = config.cacheBudget;
     service_config.residentEncodings = true;
     Service service(service_config);
 

@@ -30,7 +30,6 @@ struct DaemonConfig
 {
     std::string socketPath; ///< unix-domain socket to listen on
     std::string storeDir;   ///< suite store directory ("" = memory only)
-    size_t cacheBudget = store::SuiteStore::kDefaultCacheBudget;
     bool verbose = false; ///< log one line per request to stderr
 };
 

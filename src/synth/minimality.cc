@@ -60,14 +60,6 @@ minimalityFormula(const Model &model, const std::string &axiom_name, size_t n)
     });
 }
 
-bool
-isMinimalInstance(const Model &model, const std::string &axiom_name,
-                  const rel::Instance &inst)
-{
-    Evaluator ev(inst);
-    return ev.formula(minimalityFormula(model, axiom_name, inst.universe()));
-}
-
 std::vector<std::string>
 minimalAxioms(const Model &model, const litmus::LitmusTest &test,
               AuditStatus *status)

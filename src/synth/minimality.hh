@@ -70,10 +70,6 @@ rel::FormulaPtr anyAxiomViolation(const mm::Model &model, size_t n);
  */
 rel::FormulaPtr relaxationConjunct(const mm::Model &model, size_t n);
 
-/** Concretely check the criterion on an explicit instance. */
-bool isMinimalInstance(const mm::Model &model, const std::string &axiom_name,
-                       const rel::Instance &inst);
-
 /**
  * Whether a minimality audit actually ran to completion.
  *

@@ -491,8 +491,7 @@ parseSuiteResult(const std::string &text)
 Service::Service(ServiceConfig config_) : config(std::move(config_))
 {
     if (!config.storeDir.empty()) {
-        suiteStore = std::make_unique<store::SuiteStore>(config.storeDir,
-                                                         config.cacheBudget);
+        suiteStore = std::make_unique<store::SuiteStore>(config.storeDir);
     }
 }
 

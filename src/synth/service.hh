@@ -147,8 +147,6 @@ struct ServiceConfig
     /** Store directory; empty runs without persistence (cold CLI). */
     std::string storeDir;
 
-    size_t cacheBudget = store::SuiteStore::kDefaultCacheBudget;
-
     /**
      * Keep per-(base formula, size) encodings resident between queries
      * — the daemon mode. Misses run through runSizeJobs either way,

@@ -46,6 +46,15 @@ TEST(RegistryTest, AxiomLookup)
     EXPECT_THROW(tso->axiom("nope"), std::out_of_range);
 }
 
+TEST(RegistryTest, SccFamilyDigestsArePinned)
+{
+    // scc, scc-strict and sscc share one builder; its fact, axiom and
+    // relaxation order is part of each digest (and so of every store key).
+    EXPECT_EQ(makeModel("scc")->digest(), "56f9a43476b12e50");
+    EXPECT_EQ(makeModel("scc-strict")->digest(), "8afa8046d3911b32");
+    EXPECT_EQ(makeModel("sscc")->digest(), "e988de151ffcb381");
+}
+
 TEST(RegistryTest, ApplicabilityTableMatchesPaper)
 {
     auto table = applicabilityTable();

@@ -1,8 +1,9 @@
 /**
  * @file
- * SuiteStore durability tests: hit/miss/eviction through the LRU page
- * cache, reopen persistence, crash recovery from a torn tail record,
- * CRC rejection of corrupted records, and compaction.
+ * SuiteStore durability tests: reads of superseded, compacted and
+ * reopened records (every get() reads the segment), the pinned record
+ * layout, crash recovery from a torn tail record, CRC rejection of
+ * corrupted records, and compaction.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "store/crc32.hh"
@@ -97,26 +99,28 @@ TEST_F(StoreTest, IdenticalPutDoesNotGrowSegment)
     EXPECT_EQ(s.stats().fileBytes, size_before);
 }
 
-TEST_F(StoreTest, LruEvictsUnderTinyBudget)
+TEST_F(StoreTest, RecordLayoutIsPinned)
 {
-    // Budget fits roughly two of the ~1 KiB values; key "a" must fall
-    // out once "b" and "c" are touched, but stays readable from disk.
-    store::SuiteStore s(dir, 2300);
-    std::string big(1000, 'x');
-    s.put("a", big + "a");
-    s.put("b", big + "b");
-    s.put("c", big + "c");
-    store::StoreStats stats = s.stats();
-    EXPECT_GT(stats.cacheEvictions, 0u);
-    EXPECT_LE(stats.cacheBytes, 2300u);
+    // One put appends exactly one record in the documented layout:
+    // magic, type, keyLen, valLen, key, value, CRC-32 of type..value.
+    {
+        store::SuiteStore s(dir);
+        s.put("key", "value");
+    }
+    std::string body;
+    body.push_back('\x01');                 // type: put
+    body += std::string("\x03\0\0\0", 4); // keyLen
+    body += std::string("\x05\0\0\0", 4); // valLen
+    body += "keyvalue";
+    uint32_t crc = store::crc32(body);
+    std::string expected = "LTS1" + body;
+    for (int i = 0; i < 4; i++)
+        expected.push_back(static_cast<char>((crc >> (8 * i)) & 0xff));
 
-    uint64_t misses_before = s.stats().cacheMisses;
-    EXPECT_EQ(s.get("a").value(), big + "a"); // re-read from disk
-    EXPECT_GT(s.stats().cacheMisses, misses_before);
-
-    uint64_t hits_before = s.stats().cacheHits;
-    EXPECT_EQ(s.get("a").value(), big + "a"); // now resident again
-    EXPECT_GT(s.stats().cacheHits, hits_before);
+    std::ifstream f(segmentPath(), std::ios::binary);
+    std::string segment((std::istreambuf_iterator<char>(f)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(segment, expected);
 }
 
 TEST_F(StoreTest, TornTailIsTruncatedOnReopen)

@@ -2,7 +2,8 @@
  * @file
  * Service-layer tests: cold/warm byte identity through the store and
  * the resident (daemon-mode) path, registry-wide agreement with a plain
- * synthesizeAll run, shard-level invalidation when one axiom is edited,
+ * synthesizeAll run, shard-level hits for axiom-scoped and smaller-bound
+ * queries, shard-level invalidation when one axiom is edited,
  * digest semantics, and the request/result wire payload round trip.
  */
 
@@ -198,6 +199,44 @@ TEST_F(ServiceTest, EditingOneAxiomResynthesizesOnlyItsShards)
 
         // The edit was logically a no-op, so the suite bytes must agree.
         EXPECT_EQ(after.suiteDigest, before.suiteDigest);
+    }
+}
+
+TEST_F(ServiceTest, ScopedAndSmallerBoundQueriesReuseFullQueryShards)
+{
+    // After a full query, an axiom-scoped query and a smaller-bound one
+    // have no manifest of their own: each is assembled from the full
+    // query's shard records, read back from the store segment.
+    const std::string first_axiom =
+        mm::makeModel("tso")->axioms().front().name;
+    for (bool resident : {false, true}) {
+        SCOPED_TRACE(resident ? "resident" : "one-shot");
+        fs::remove_all(dir); // fresh store per mode
+        synth::Service service(storeConfig(resident));
+
+        synth::SuiteRequest full;
+        full.model = "tso";
+        full.maxSize = 4;
+        EXPECT_EQ(service.query(full).cache, synth::CacheOutcome::Miss);
+
+        synth::SuiteRequest scoped = full;
+        scoped.axiom = first_axiom;
+        synth::SuiteRequest smaller = full;
+        smaller.maxSize = 3;
+        for (const synth::SuiteRequest &request : {scoped, smaller}) {
+            SCOPED_TRACE("axiom '" + request.axiom + "' max size " +
+                         std::to_string(request.maxSize));
+            synth::SuiteResult warm = service.query(request);
+            EXPECT_EQ(warm.cache, synth::CacheOutcome::Hit);
+            EXPECT_EQ(warm.shardsSynthesized, 0u);
+            EXPECT_EQ(warm.progress.jobsQueued, 0u);
+
+            synth::SuiteResult cold = synth::Service().query(request);
+            EXPECT_EQ(warm.suiteDigest, cold.suiteDigest);
+            ASSERT_EQ(warm.suites.size(), cold.suites.size());
+            for (size_t i = 0; i < warm.suites.size(); i++)
+                expectSameTests(warm.suites[i], cold.suites[i]);
+        }
     }
 }
 

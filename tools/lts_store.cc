@@ -2,7 +2,7 @@
  * @file
  * lts-store — inspect and maintain a suite store directory.
  *
- *   lts-store stats <dir>        # live keys, segment size, cache stats
+ *   lts-store stats <dir>        # live keys, records, segment bytes
  *   lts-store fsck <dir>         # read-only integrity scan (exit 1 if bad)
  *   lts-store compact <dir>      # drop superseded records, atomic swap
  *   lts-store keys <dir>         # list live keys

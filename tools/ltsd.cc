@@ -42,8 +42,6 @@ main(int argc, char **argv)
     flags.declare("socket", "ltsd.sock", "unix-domain socket path");
     flags.declare("store", ".lts-store",
                   "suite store directory ('' = in-memory only)");
-    flags.declare("cache-mb", "64",
-                  "in-memory page cache budget in MiB");
     flags.declare("verbose", "false", "log one line per request");
     flags.declare("ping", "false",
                   "probe a running daemon and exit (0 = alive)");
@@ -67,8 +65,6 @@ main(int argc, char **argv)
     synth::DaemonConfig config;
     config.socketPath = socket_path;
     config.storeDir = flags.get("store");
-    config.cacheBudget =
-        static_cast<size_t>(flags.getUint64("cache-mb")) << 20;
     config.verbose = flags.getBool("verbose");
 
     // SIGINT/SIGTERM request a clean shutdown: the accept loop polls
