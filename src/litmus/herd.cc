@@ -532,10 +532,7 @@ herdDialectFor(const LitmusTest &test, const std::string &model_name)
 std::string
 writeHerd(const LitmusTest &test, const HerdOptions &options)
 {
-    HerdDialect dialect = options.dialect
-                              ? *options.dialect
-                              : herdDialectFor(test, options.modelName);
-    if (dialect == HerdDialect::X86)
+    if (herdDialectFor(test, options.modelName) == HerdDialect::X86)
         return writeX86(test);
     return writeC(test);
 }

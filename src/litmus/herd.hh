@@ -46,7 +46,6 @@
 #define LTS_LITMUS_HERD_HH
 
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,12 +64,9 @@ enum class HerdDialect
 /** Export knobs. */
 struct HerdOptions
 {
-    /** Force a dialect; unset picks via herdDialectFor. */
-    std::optional<HerdDialect> dialect;
-
     /**
-     * Model the suite was synthesized for ("tso", "power", ...). Only
-     * used by dialect auto-selection: tso tests prefer X86 when
+     * Model the suite was synthesized for ("tso", "power", ...). Picks
+     * each test's dialect (herdDialectFor): tso tests prefer X86 when
      * expressible; everything else uses C.
      */
     std::string modelName;

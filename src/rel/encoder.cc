@@ -431,9 +431,9 @@ RelSolver::addBaseFact(const FormulaPtr &f)
 }
 
 bool
-RelSolver::simplifyBase(const sat::SimplifyConfig &cfg)
+RelSolver::simplifyBase()
 {
-    return solver.simplify(cfg);
+    return solver.simplify();
 }
 
 FactHandle
@@ -683,13 +683,6 @@ RelSolver::pinAndMinimize(const Instance &pin,
     lastInstance = enc.extract(solver);
     lexWalk(assume, fixed);
     return true;
-}
-
-sat::SolveResult
-RelSolver::blockAndContinue(const std::vector<int> &var_ids)
-{
-    blockModel(var_ids);
-    return solve();
 }
 
 } // namespace lts::rel

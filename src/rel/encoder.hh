@@ -158,7 +158,7 @@ class RelSolver
 
     /**
      * Run the SAT backend's SatELite-style preprocessing pass (see
-     * sat/simplify.hh) over the permanent encoding built so far. Cell
+     * sat::Solver::simplify) over the permanent encoding built so far. Cell
      * variables and fact-layer selectors are frozen, so instances decode
      * unchanged and layers stay retractable; only internal Tseitin
      * variables are eliminated (with model reconstruction keeping
@@ -166,7 +166,7 @@ class RelSolver
      * are in place — the more of the encoding is permanent, the more the
      * pass can remove. Returns false when the base encoding is unsat.
      */
-    bool simplifyBase(const sat::SimplifyConfig &cfg = sat::SimplifyConfig());
+    bool simplifyBase();
 
     /**
      * An initially empty retractable layer. Blocking clauses added under
@@ -235,12 +235,6 @@ class RelSolver
     void blockInstance(const Instance &inst,
                        const std::vector<int> &var_ids = {},
                        FactHandle under = kNoFact);
-
-    /**
-     * Convenience for enumeration loops: blockModel(var_ids) permanently,
-     * then solve() again.
-     */
-    sat::SolveResult blockAndContinue(const std::vector<int> &var_ids = {});
 
     /**
      * Attach a DRAT proof writer to the SAT backend (see

@@ -11,7 +11,6 @@ namespace lts::sat
 namespace
 {
 
-constexpr char kTextHeader[] = "c ltsdrat v1 text\n";
 constexpr char kBinaryMagic[8] = {'L', 'D', 'R', 'A', 'T', 'B', '1', '\0'};
 constexpr size_t kFlushThreshold = 1 << 16;
 
@@ -30,19 +29,13 @@ binCode(Lit l)
 
 // --- DratWriter ------------------------------------------------------------
 
-DratWriter::DratWriter(const std::string &path, DratFormat format)
-    : filePath(path), fmt(format)
+DratWriter::DratWriter(const std::string &path) : filePath(path)
 {
     file = std::fopen(path.c_str(), "wb");
     if (!file)
         return;
     buf.reserve(kFlushThreshold + 256);
-    if (fmt == DratFormat::Text) {
-        buf.insert(buf.end(), kTextHeader,
-                   kTextHeader + std::strlen(kTextHeader));
-    } else {
-        buf.insert(buf.end(), kBinaryMagic, kBinaryMagic + 8);
-    }
+    buf.insert(buf.end(), kBinaryMagic, kBinaryMagic + 8);
 }
 
 DratWriter::~DratWriter()
@@ -71,29 +64,16 @@ DratWriter::put(char tag, const std::vector<Lit> &lits)
 {
     if (!file)
         return;
-    if (fmt == DratFormat::Text) {
-        buf.push_back(tag);
-        char tmp[16];
-        for (Lit l : lits) {
-            int32_t dimacs = (l.var() + 1) * (l.sign() ? -1 : 1);
-            int n = std::snprintf(tmp, sizeof(tmp), " %d", dimacs);
-            buf.insert(buf.end(), tmp, tmp + n);
+    buf.push_back(tag);
+    for (Lit l : lits) {
+        uint32_t u = binCode(l);
+        while (u >= 0x80) {
+            buf.push_back(static_cast<char>((u & 0x7f) | 0x80));
+            u >>= 7;
         }
-        buf.push_back(' ');
-        buf.push_back('0');
-        buf.push_back('\n');
-    } else {
-        buf.push_back(tag);
-        for (Lit l : lits) {
-            uint32_t u = binCode(l);
-            while (u >= 0x80) {
-                buf.push_back(static_cast<char>((u & 0x7f) | 0x80));
-                u >>= 7;
-            }
-            buf.push_back(static_cast<char>(u));
-        }
-        buf.push_back('\0');
+        buf.push_back(static_cast<char>(u));
     }
+    buf.push_back('\0');
     if (buf.size() >= kFlushThreshold) {
         if (std::fwrite(buf.data(), 1, buf.size(), file) != buf.size())
             failed = true;
@@ -125,79 +105,6 @@ parseKind(char tag, DratStep::Kind &kind)
     default:
         return false;
     }
-}
-
-bool
-parseText(const std::string &data, size_t pos, std::vector<DratStep> &steps,
-          std::string &error)
-{
-    size_t line_no = 2; // record bodies start after the header line
-    while (pos < data.size()) {
-        // One record per line; blank lines and comments are skipped.
-        size_t eol = data.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = data.size();
-        size_t p = pos, end = eol;
-        pos = eol == data.size() ? eol : eol + 1;
-        size_t this_line = line_no++;
-        while (p < end && (data[p] == ' ' || data[p] == '\t'))
-            p++;
-        if (p == end)
-            continue;
-        if (data[p] == 'c') {
-            continue;
-        }
-        DratStep step;
-        if (!parseKind(data[p], step.kind)) {
-            error = "line " + std::to_string(this_line) +
-                    ": bad record tag '" + std::string(1, data[p]) + "'";
-            return false;
-        }
-        p++;
-        bool terminated = false;
-        while (p < end && !terminated) {
-            while (p < end && (data[p] == ' ' || data[p] == '\t'))
-                p++;
-            if (p == end)
-                break;
-            bool neg = data[p] == '-';
-            if (neg)
-                p++;
-            if (p == end || data[p] < '0' || data[p] > '9') {
-                error = "line " + std::to_string(this_line) +
-                        ": bad literal";
-                return false;
-            }
-            int64_t v = 0;
-            while (p < end && data[p] >= '0' && data[p] <= '9') {
-                v = v * 10 + (data[p] - '0');
-                if (v > INT32_MAX) {
-                    error = "line " + std::to_string(this_line) +
-                            ": literal out of range";
-                    return false;
-                }
-                p++;
-            }
-            if (v == 0) {
-                if (neg) {
-                    error = "line " + std::to_string(this_line) +
-                            ": bad literal '-0'";
-                    return false;
-                }
-                terminated = true;
-                break;
-            }
-            step.lits.push_back(
-                Lit(static_cast<Var>(v - 1), neg));
-        }
-        if (!terminated) {
-            error = "line " + std::to_string(this_line) +
-                    ": unterminated clause (missing 0)";
-            return false;
-        }
-        steps.push_back(std::move(step));
-    }
-    return true;
 }
 
 bool
@@ -264,10 +171,6 @@ parseDratFile(const std::string &path, std::vector<DratStep> &steps,
     steps.clear();
     if (data.size() >= 8 && std::memcmp(data.data(), kBinaryMagic, 8) == 0)
         return parseBinary(data, 8, steps, error);
-    size_t header_len = std::strlen(kTextHeader);
-    if (data.size() >= header_len &&
-        std::memcmp(data.data(), kTextHeader, header_len) == 0)
-        return parseText(data, header_len, steps, error);
     error = "unrecognized proof header in " + path;
     return false;
 }

@@ -16,18 +16,19 @@
  *                literal, against the clauses live at this point
  *   d <lits> 0   deletion — the clause leaves the database
  *   u <lits> 0   conclusion — a verification target: the negated failed
- *                assumptions of an Unsat answer ("u 0" for an
- *                assumption-free refutation). Must be RUP.
+ *                assumptions of an Unsat answer (no literals for
+ *                an assumption-free refutation). Must be RUP.
  *
- * Unlike bare DRAT, inputs ride inside the trace ('i' lines), so a
+ * Unlike bare DRAT, inputs ride inside the trace ('i' records), so a
  * proof file checks on its own, and one trace may carry several 'u'
  * conclusions (the synthesizer concludes once per axiom it sweeps over
  * a size's shared solver).
  *
- * Two encodings share the record model: a text form ("c ltsdrat v1
- * text" header, DIMACS-style signed literals) and a compact binary
- * form ("LDRATB1\0" magic, tag byte + varint literals). The checker
- * auto-detects which one it is reading.
+ * On disk a trace is the "LDRATB1\0" magic followed by one record per
+ * step: the tag byte, each literal as a varint code (DIMACS number
+ * shifted left, sign in the low bit, so no code is zero), and a zero
+ * byte. There is no other encoding; a file without the magic is
+ * rejected.
  *
  * Checking is backward from the conclusions: the final database is
  * reconstructed, steps are undone last-to-first, and only steps marked
@@ -50,13 +51,6 @@
 namespace lts::sat
 {
 
-/** Proof trace encodings (see file comment). */
-enum class DratFormat
-{
-    Text,   ///< "c ltsdrat v1 text" header, one record per line
-    Binary, ///< "LDRATB1\0" magic, tag byte + varint literals
-};
-
 /**
  * Streaming proof writer. One writer per solver; the solver calls the
  * add/delete hooks as its clause database changes and conclude() when
@@ -67,8 +61,7 @@ enum class DratFormat
 class DratWriter
 {
   public:
-    DratWriter(const std::string &path,
-               DratFormat format = DratFormat::Binary);
+    explicit DratWriter(const std::string &path);
     ~DratWriter();
     DratWriter(const DratWriter &) = delete;
     DratWriter &operator=(const DratWriter &) = delete;
@@ -77,7 +70,6 @@ class DratWriter
     bool good() const { return file != nullptr && !failed; }
 
     const std::string &path() const { return filePath; }
-    DratFormat format() const { return fmt; }
 
     /** Log an input clause ('i'): part of the problem, not checked. */
     void addInput(const std::vector<Lit> &lits) { put('i', lits); }
@@ -97,7 +89,6 @@ class DratWriter
     void put(char tag, const std::vector<Lit> &lits);
 
     std::string filePath;
-    DratFormat fmt;
     std::FILE *file = nullptr;
     bool failed = false;
     std::vector<char> buf;
@@ -140,9 +131,9 @@ struct DratCheckResult
 };
 
 /**
- * Parse a proof file into records, auto-detecting text vs binary.
- * Returns false with a diagnostic in @p error on malformed input
- * (unrecognized header, bad literal, truncated binary record, ...).
+ * Parse a proof file into records. Returns false with a diagnostic in
+ * @p error on malformed input (unrecognized header, bad literal code,
+ * truncated record, ...).
  */
 bool parseDratFile(const std::string &path, std::vector<DratStep> &steps,
                    std::string &error);

@@ -1,9 +1,26 @@
 /**
  * @file
- * SatELite-style preprocessing: backward subsumption, self-subsuming
- * resolution, and bounded variable elimination (see simplify.hh for the
- * contract and knobs). Implemented as a friend class so the pass can
- * manipulate the solver's clause store and watches directly.
+ * The solver's SatELite-style preprocessing pass (Solver::simplify).
+ * It runs three classic CNF simplifications over an occurrence-list
+ * index of the live problem clauses:
+ *
+ *  - backward subsumption: a clause C deletes every clause D with C ⊆ D;
+ *  - self-subsuming resolution: when C subsumes D except for one literal
+ *    that appears flipped, that literal is removed from D (strengthening);
+ *  - bounded variable elimination (BVE): a variable v whose full
+ *    resolvent set is no larger than the clauses it replaces is
+ *    eliminated by distribution (Davis-Putnam), and its clauses move to
+ *    an extension stack used to reconstruct v's value in later models.
+ *
+ * The pass is guarded by the solver's *frozen-variable protocol*:
+ * variables the outside world refers to — relation-tuple cell variables,
+ * activation-group selectors, anything the caller may later assume, pin,
+ * or read back — must be frozen (Solver::setFrozen) and are never
+ * eliminated. Pure Tseitin internals stay eliminable; the first read of
+ * an eliminated variable after a Sat answer replays the extension stack,
+ * so modelValue() is total and checkModel() also verifies the eliminated
+ * clauses. Implemented as a friend class so the pass can manipulate the
+ * solver's clause store and watches directly.
  *
  * Scope rules:
  *  - learnt clauses are purged up front (they are re-derivable, and
@@ -30,13 +47,24 @@
 namespace lts::sat
 {
 
+namespace
+{
+
+/**
+ * BVE skips a variable with more occurrences than this: the resolvent
+ * check alone would be quadratic in the list lengths.
+ */
+constexpr size_t kMaxOccurrences = 30;
+
+/** BVE never creates a resolvent longer than this many literals. */
+constexpr size_t kMaxResolventLits = 20;
+
+} // namespace
+
 class Simplifier
 {
   public:
-    Simplifier(Solver &solver, const SimplifyConfig &config)
-        : s(solver), cfg(config)
-    {
-    }
+    explicit Simplifier(Solver &solver) : s(solver) {}
 
     bool run();
 
@@ -76,7 +104,6 @@ class Simplifier
     }
 
     Solver &s;
-    const SimplifyConfig &cfg;
 
     std::vector<std::vector<ClauseRef>> occ; ///< per Lit::index()
     std::vector<uint64_t> sigs;              ///< per clause, 0 if unindexed
@@ -89,7 +116,7 @@ class Simplifier
 };
 
 bool
-Solver::simplify(const SimplifyConfig &cfg)
+Solver::simplify()
 {
     cancelUntil(0);
     // Settle a pending replay against the stack its model was found
@@ -98,7 +125,7 @@ Solver::simplify(const SimplifyConfig &cfg)
         reconstructModel();
     if (!ok)
         return false;
-    Simplifier pass(*this, cfg);
+    Simplifier pass(*this);
     return pass.run();
 }
 
@@ -127,11 +154,10 @@ Simplifier::run()
     // formula stops shrinking. Resolvents re-enter the subsumption queue
     // when registered, so each round starts from a clean fixpoint.
     for (;;) {
-        if (cfg.subsumption)
-            drainSubsumption();
+        drainSubsumption();
         if (!s.ok)
             return false;
-        if (!cfg.varElim || !bveSweep())
+        if (!bveSweep())
             break;
         if (!s.ok)
             return false;
@@ -238,7 +264,7 @@ Simplifier::registerClause(ClauseRef cref)
 void
 Simplifier::enqueueSubsumption(ClauseRef cref)
 {
-    if (!cfg.subsumption || queued[cref])
+    if (queued[cref])
         return;
     queued[cref] = 1;
     subQueue.push_back(cref);
@@ -475,7 +501,7 @@ Simplifier::bveSweep()
 /**
  * Bounded variable elimination by distribution (Davis-Putnam): replace
  * the clauses containing v with their full pairwise resolvent set when
- * that set is no larger (modulo cfg.grow) and no resolvent is too long.
+ * that set is no larger and no resolvent is too long.
  * Keeping *all* non-tautological resolvents makes the elimination an
  * exact existential projection: the remaining formula has identical
  * models over the other variables, which is what lets eliminated Tseitin
@@ -497,12 +523,11 @@ Simplifier::tryEliminate(Var v)
     compact(neg);
 
     size_t before = pos.size() + neg.size();
-    if (before > cfg.maxOccurrences)
+    if (before > kMaxOccurrences)
         return false;
 
-    // Build the full resolvent set, bailing out the moment it exceeds
-    // the growth budget or a resolvent exceeds the length cap.
-    size_t budget = before + static_cast<size_t>(std::max(cfg.grow, 0));
+    // Build the full resolvent set, bailing out the moment it outgrows
+    // the clauses it would replace or a resolvent exceeds the length cap.
     std::vector<std::vector<Lit>> resolvents;
     std::vector<Lit> resolvent;
     for (ClauseRef pref : pos) {
@@ -529,8 +554,8 @@ Simplifier::tryEliminate(Var v)
             }
             if (tautology)
                 continue;
-            if (resolvent.size() > cfg.maxResolventLits ||
-                resolvents.size() + 1 > budget)
+            if (resolvent.size() > kMaxResolventLits ||
+                resolvents.size() + 1 > before)
                 return false;
             resolvents.push_back(resolvent);
         }

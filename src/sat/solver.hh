@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sat/simplify.hh"
 #include "sat/types.hh"
 
 namespace lts::sat
@@ -172,17 +171,22 @@ class Solver
     bool isEliminated(Var v) const { return elimFlags[v] != 0; }
 
     /**
-     * Run the SatELite-style preprocessing pass (see simplify.hh):
+     * Run the SatELite-style preprocessing pass (see simplify.cc):
      * backward subsumption, self-subsuming resolution, and bounded
-     * variable elimination over the live *ungrouped* problem clauses.
-     * Grouped clauses and every variable occurring in one are left
-     * untouched so retractable layers stay retractable; learnt clauses
-     * are dropped (they are re-derivable). Drops the assumption levels
-     * kept from the last solve() and settles a pending model replay
-     * first; deterministic, so identical solvers simplify identically.
-     * Returns false when simplification proves the formula unsatisfiable.
+     * variable elimination over the live *ungrouped* problem clauses,
+     * to a fixpoint. Frozen variables are never eliminated (see
+     * setFrozen). Grouped clauses and every variable occurring in one
+     * are left untouched so retractable layers stay retractable; learnt
+     * clauses are dropped (they are re-derivable). Drops the assumption
+     * levels kept from the last solve() and settles a pending model
+     * replay first; deterministic, so identical solvers simplify
+     * identically. The pass has no knobs: its bounds are MiniSat's
+     * SatELite defaults (no clause-count growth per elimination,
+     * variables with at most 30 occurrences, resolvents of at most 20
+     * literals). Returns false when simplification proves the formula
+     * unsatisfiable.
      */
-    bool simplify(const SimplifyConfig &cfg = SimplifyConfig());
+    bool simplify();
 
     /**
      * Snapshot of the live problem clauses — including the activation

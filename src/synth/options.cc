@@ -37,8 +37,6 @@ synthFlagSpecs()
          "write a DRAT proof trace per size into this directory; each "
          "exhausted shard records its final Unsat as a checkable "
          "conclusion (see lts-drat-check)"},
-        {"proof-text", "false",
-         "write text-format proofs instead of the compact binary form"},
         {"dump-dimacs", "",
          "dump each exhausted shard's final post-simplify CNF into this "
          "directory as DIMACS"},
@@ -71,7 +69,6 @@ synthOptionsFromFlags(const Flags &flags)
     opt.jobs = flags.getInt("jobs");
     opt.simplify = flags.getBool("simplify");
     opt.proofDir = flags.get("proof");
-    opt.proofText = flags.getBool("proof-text");
     opt.dumpDimacsDir = flags.get("dump-dimacs");
     return opt;
 }

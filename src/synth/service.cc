@@ -191,50 +191,59 @@ parseShard(const std::string &text)
 
 // --- suite manifests --------------------------------------------------------
 
+/** Shard keys of one query, [axiom][size] in scope and size order. */
+using KeyGrid = std::vector<std::vector<std::string>>;
+
 struct Manifest
 {
     std::string suiteDigest;
-    // Axiom label -> the shard keys its per-size results live under,
-    // sizes ascending from minSize.
-    std::vector<std::pair<std::string, std::vector<std::string>>> axioms;
+    KeyGrid keys;
 };
 
 std::string
-serializeManifest(const Manifest &m)
+serializeManifest(const std::string &suite_digest,
+                  const std::vector<std::string> &axioms, const KeyGrid &keys)
 {
     std::ostringstream out;
     out << "manifest " << kServiceFormat << "\n";
-    out << "digest " << m.suiteDigest << "\n";
-    out << "axioms " << m.axioms.size() << "\n";
-    for (const auto &[axiom, keys] : m.axioms) {
-        out << "axiom " << keys.size() << " " << axiom << "\n";
-        for (const auto &key : keys)
+    out << "digest " << suite_digest << "\n";
+    out << "axioms " << axioms.size() << "\n";
+    for (size_t ai = 0; ai < axioms.size(); ai++) {
+        out << "axiom " << keys[ai].size() << " " << axioms[ai] << "\n";
+        for (const auto &key : keys[ai])
             out << "shard " << key << "\n";
     }
     return out.str();
 }
 
+/**
+ * Parse a manifest for a query over @p axioms at @p n_sizes sizes.
+ * Throws unless it parses and lists n_sizes keys for each axiom of the
+ * scope, in scope order: only then can its keys stand in for rendered
+ * ones.
+ */
 Manifest
-parseManifest(const std::string &text)
+parseManifest(const std::string &text, const std::vector<std::string> &axioms,
+              size_t n_sizes)
 {
     Reader r(text);
     if (r.field("manifest") != kServiceFormat)
         throw std::runtime_error("service: manifest format mismatch");
     Manifest m;
     m.suiteDigest = r.field("digest");
-    size_t n_axioms = r.u64("axioms");
-    for (size_t i = 0; i < n_axioms; i++) {
+    if (r.u64("axioms") != axioms.size())
+        throw std::runtime_error("service: manifest axiom count mismatch");
+    for (const std::string &axiom : axioms) {
         std::string head = r.field("axiom");
         size_t space = head.find(' ');
-        if (space == std::string::npos)
-            throw std::runtime_error("service: bad manifest axiom line");
-        size_t n_keys = std::stoull(head.substr(0, space));
-        std::string axiom = head.substr(space + 1);
-        std::vector<std::string> keys;
-        keys.reserve(n_keys);
-        for (size_t k = 0; k < n_keys; k++)
-            keys.push_back(r.field("shard"));
-        m.axioms.emplace_back(std::move(axiom), std::move(keys));
+        if (space == std::string::npos || head.substr(space + 1) != axiom ||
+            std::stoull(head.substr(0, space)) != n_sizes) {
+            throw std::runtime_error("service: manifest does not cover '" +
+                                     axiom + "' at every size");
+        }
+        m.keys.emplace_back();
+        for (size_t k = 0; k < n_sizes; k++)
+            m.keys.back().push_back(r.field("shard"));
     }
     return m;
 }
@@ -581,176 +590,148 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
         }
     }
 
-    // Restart-stable keys for every shard in scope.
+    // 1. Keys: the [axiom][size] grid of shard keys. A usable manifest
+    //    supplies it as stored, so a warm query renders no formula;
+    //    otherwise each size's base formula and each (axiom, size)
+    //    violation is rendered once. Base digests are also the daemon's
+    //    encoding keys, rendered on first use and then reused.
     std::vector<std::string> base_digests(n_sizes);
-    for (size_t si = 0; si < n_sizes; si++) {
-        base_digests[si] =
-            baseFormulaDigest(model, min_size + static_cast<int>(si));
-    }
-    auto shard_key = [&](const std::string &axiom, size_t si) {
-        int size = min_size + static_cast<int>(si);
-        return "shard/" + base_digests[si] + "/" +
-               violationDigest(model, axiom, size) + "/" +
-               result.optionsDigest + "/n" + std::to_string(size);
+    auto base_digest = [&](size_t si) -> const std::string & {
+        if (base_digests[si].empty()) {
+            base_digests[si] =
+                baseFormulaDigest(model, min_size + static_cast<int>(si));
+        }
+        return base_digests[si];
+    };
+    auto render_keys = [&] {
+        KeyGrid keys(axioms.size());
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            for (size_t si = 0; si < n_sizes; si++) {
+                int size = min_size + static_cast<int>(si);
+                keys[ai].push_back("shard/" + base_digest(si) + "/" +
+                                   violationDigest(model, axioms[ai], size) +
+                                   "/" + result.optionsDigest + "/n" +
+                                   std::to_string(size));
+            }
+        }
+        return keys;
     };
 
-    // Assembly shared by every path below: per-axiom suites in scope
-    // order, plus the union for full-scope queries. Deterministic, so
-    // cached shards and fresh shards produce byte-identical suites.
-    auto assemble =
-        [&](const std::vector<std::vector<ShardResult>> &shards) {
-            result.suites.clear();
-            for (size_t ai = 0; ai < axioms.size(); ai++) {
-                result.suites.push_back(assembleShardSuite(
-                    model, axioms[ai], shards[ai], min_size));
-            }
-            if (full_scope)
-                result.suites.push_back(unionSuites(result.suites, options));
-            result.suiteDigest =
-                litmus::suiteDigest(result.suites.back().tests);
-        };
-
-    // 1. Manifest fast path: the (modelDigest, bound, optionsDigest)
-    //    index entry plus every shard it references.
-    if (suiteStore) {
-        if (auto manifest_bytes = suiteStore->get(manifest_key)) {
-            try {
-                Manifest manifest = parseManifest(*manifest_bytes);
-                std::vector<std::vector<ShardResult>> shards;
-                bool complete = manifest.axioms.size() == axioms.size();
-                for (size_t ai = 0; complete && ai < axioms.size(); ai++) {
-                    if (manifest.axioms[ai].first != axioms[ai] ||
-                        manifest.axioms[ai].second.size() != n_sizes) {
-                        complete = false;
-                        break;
-                    }
-                    std::vector<ShardResult> by_size;
-                    for (const auto &key : manifest.axioms[ai].second) {
-                        auto bytes = suiteStore->get(key);
-                        if (!bytes) {
-                            complete = false;
-                            break;
-                        }
-                        by_size.push_back(parseShard(*bytes));
-                    }
-                    if (by_size.size() == n_sizes)
-                        shards.push_back(std::move(by_size));
-                    else
-                        complete = false;
-                }
-                if (complete) {
-                    assemble(shards);
-                    if (result.suiteDigest == manifest.suiteDigest) {
-                        result.cache = CacheOutcome::Hit;
-                        result.shardsCached = axioms.size() * n_sizes;
-                        for (size_t ai = 0; ai < axioms.size(); ai++) {
-                            for (size_t si = 0; si < n_sizes; si++) {
-                                result.shards.push_back(
-                                    {axioms[ai],
-                                     min_size + static_cast<int>(si), true,
-                                     shards[ai][si].tests.size(),
-                                     std::string()});
-                            }
-                        }
-                        result.progress = progress.snapshot();
-                        result.seconds = wall.seconds();
-                        if (config.residentEncodings)
-                            resultCache[manifest_key] = result;
-                        emit("suite " + result.suiteDigest +
-                             ": store hit (" +
-                             std::to_string(result.unionSuite().tests
-                                                .size()) +
-                             " tests)");
-                        return result;
-                    }
-                    // Digest mismatch: a format skew or store damage.
-                    // Fall through and re-synthesize; the fresh run
-                    // overwrites the stale manifest.
-                    result.suites.clear();
-                }
-            } catch (const std::exception &e) {
-                emit(std::string("manifest unusable, re-deriving: ") +
-                     e.what());
-            }
+    std::optional<std::string> stored_manifest;
+    if (suiteStore)
+        stored_manifest = suiteStore->get(manifest_key);
+    std::optional<Manifest> manifest;
+    if (stored_manifest) {
+        try {
+            manifest = parseManifest(*stored_manifest, axioms, n_sizes);
+        } catch (const std::exception &e) {
+            emit(std::string("manifest unusable, re-deriving: ") + e.what());
         }
     }
 
-    // 2. Shard-level path: serve what the store has, synthesize the rest.
-    std::vector<std::vector<ShardResult>> shards(
-        axioms.size(), std::vector<ShardResult>(n_sizes));
-    std::vector<std::vector<bool>> from_store(
-        axioms.size(), std::vector<bool>(n_sizes, false));
-    if (suiteStore) {
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
+    // 2. One pass: load every shard record the keys name (a missing or
+    //    unparseable record is a miss), synthesize the misses in one
+    //    runSizeJobs call, assemble. Deterministic, so cached and fresh
+    //    shards produce byte-identical suites.
+    std::vector<std::vector<ShardResult>> shards;
+    std::vector<std::vector<bool>> from_store;
+    auto run_pass = [&](const KeyGrid &keys) {
+        shards.assign(axioms.size(), std::vector<ShardResult>(n_sizes));
+        from_store.assign(axioms.size(), std::vector<bool>(n_sizes, false));
+        for (size_t ai = 0; suiteStore && ai < axioms.size(); ai++) {
             for (size_t si = 0; si < n_sizes; si++) {
-                auto bytes = suiteStore->get(shard_key(axioms[ai], si));
+                auto bytes = suiteStore->get(keys[ai][si]);
                 if (!bytes)
                     continue;
                 try {
                     shards[ai][si] = parseShard(*bytes);
                     from_store[ai][si] = true;
-                    result.shardsCached++;
                 } catch (const std::exception &) {
-                    // Unparseable shard: treat as a miss and overwrite.
+                    // Unparseable shard: a miss, overwritten below.
                 }
             }
         }
-    }
 
-    // One job per size with a miss, sweeping that size's missing axioms
-    // in scope order. Daemon mode lends each job its resident encoding,
-    // if it has one, and keeps the job's encoding afterwards; one-shot
-    // jobs free theirs as they finish. A resident solver outlives any
-    // one request, so one proof file could not delimit a request's
-    // claims: resident encodings are built proof-less.
-    SynthOptions job_options = options;
-    if (config.residentEncodings)
-        job_options.proofDir.clear();
-    auto encoding_key = [&](size_t si) {
-        return base_digests[si] + "/" + result.optionsDigest;
-    };
-    std::vector<SizeJob> jobs;
-    for (size_t si = 0; si < n_sizes; si++) {
-        SizeJob job;
-        job.size = min_size + static_cast<int>(si);
-        job.keepEncoding = config.residentEncodings;
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            if (!from_store[ai][si])
-                job.tracks.push_back(axiomTrack(model, axioms[ai]));
-        }
-        if (job.tracks.empty())
-            continue;
-        if (config.residentEncodings) {
-            auto it = encodings.find(encoding_key(si));
-            if (it != encodings.end()) {
-                job.encoding = std::move(it->second);
-                encodings.erase(it);
-            }
-            emit("size " + std::to_string(job.size) +
-                 (job.encoding ? ": base encoding resident"
-                               : ": building base encoding"));
-        }
-        jobs.push_back(std::move(job));
-    }
-    runSizeJobs(model, jobs, job_options);
-    for (SizeJob &job : jobs) {
-        size_t si = static_cast<size_t>(job.size - min_size);
-        size_t k = 0;
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            if (from_store[ai][si])
-                continue;
-            shards[ai][si] = std::move(job.shards[k++]);
-            result.shardsSynthesized++;
-            emit("shard " + axioms[ai] + "@" + std::to_string(job.size) +
-                 ": synthesized, " +
-                 std::to_string(shards[ai][si].tests.size()) + " tests");
-        }
+        // One job per size with a miss, sweeping that size's missing
+        // axioms in scope order. Daemon mode lends each job its resident
+        // encoding, if it has one, and keeps the job's encoding
+        // afterwards; one-shot jobs free theirs as they finish. A
+        // resident solver outlives any one request, so one proof file
+        // could not delimit a request's claims: resident encodings are
+        // built proof-less.
+        SynthOptions job_options = options;
         if (config.residentEncodings)
-            encodings[encoding_key(si)] = std::move(job.encoding);
+            job_options.proofDir.clear();
+        auto encoding_key = [&](size_t si) {
+            return base_digest(si) + "/" + result.optionsDigest;
+        };
+        std::vector<SizeJob> jobs;
+        for (size_t si = 0; si < n_sizes; si++) {
+            SizeJob job;
+            job.size = min_size + static_cast<int>(si);
+            job.keepEncoding = config.residentEncodings;
+            for (size_t ai = 0; ai < axioms.size(); ai++) {
+                if (!from_store[ai][si])
+                    job.tracks.push_back(axiomTrack(model, axioms[ai]));
+            }
+            if (job.tracks.empty())
+                continue;
+            if (config.residentEncodings) {
+                auto it = encodings.find(encoding_key(si));
+                if (it != encodings.end()) {
+                    job.encoding = std::move(it->second);
+                    encodings.erase(it);
+                }
+                emit("size " + std::to_string(job.size) +
+                     (job.encoding ? ": base encoding resident"
+                                   : ": building base encoding"));
+            }
+            jobs.push_back(std::move(job));
+        }
+        runSizeJobs(model, jobs, job_options);
+        for (SizeJob &job : jobs) {
+            size_t si = static_cast<size_t>(job.size - min_size);
+            size_t k = 0;
+            for (size_t ai = 0; ai < axioms.size(); ai++) {
+                if (from_store[ai][si])
+                    continue;
+                shards[ai][si] = std::move(job.shards[k++]);
+                emit("shard " + axioms[ai] + "@" + std::to_string(job.size) +
+                     ": synthesized, " +
+                     std::to_string(shards[ai][si].tests.size()) + " tests");
+            }
+            if (config.residentEncodings)
+                encodings[encoding_key(si)] = std::move(job.encoding);
+        }
+
+        // Per-axiom suites in scope order, plus the union for full-scope
+        // queries.
+        result.suites.clear();
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            result.suites.push_back(
+                assembleShardSuite(model, axioms[ai], shards[ai], min_size));
+        }
+        if (full_scope)
+            result.suites.push_back(unionSuites(result.suites, options));
+        result.suiteDigest = litmus::suiteDigest(result.suites.back().tests);
+    };
+
+    // 3. Run the pass on the manifest's keys, or on rendered ones. Keys
+    //    from a manifest whose digest disagrees with what they assemble
+    //    to (a format skew or store damage) are dropped, and the same
+    //    pass runs again on rendered keys.
+    KeyGrid keys = manifest ? std::move(manifest->keys) : render_keys();
+    run_pass(keys);
+    if (manifest && result.suiteDigest != manifest->suiteDigest) {
+        emit("manifest digest " + manifest->suiteDigest +
+             " disagrees with its shards, re-deriving");
+        keys = render_keys();
+        run_pass(keys);
     }
 
-    // 3. Assemble, record provenance, and persist what this query learned.
-    assemble(shards);
+    // 4. Provenance, then persist what this query learned: the
+    //    synthesized shards, and the manifest unless the store already
+    //    holds these exact bytes.
     for (size_t ai = 0; ai < axioms.size(); ai++) {
         for (size_t si = 0; si < n_sizes; si++) {
             ShardProvenance prov{axioms[ai],
@@ -758,14 +739,18 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                                  from_store[ai][si],
                                  shards[ai][si].tests.size(),
                                  std::string()};
-            // A freshly synthesized shard's conclusion landed in its
-            // size's proof file; pin that file's content digest into the
-            // provenance. Cached shards ran no solver, and resident
-            // encodings are proof-less.
-            if (!from_store[ai][si] && !options.proofDir.empty() &&
-                !config.residentEncodings) {
-                prov.proofDigest = proofFileDigest(
-                    proofFilePath(options, model.name(), prov.size));
+            if (prov.cached) {
+                result.shardsCached++;
+            } else {
+                result.shardsSynthesized++;
+                // A freshly synthesized shard's conclusion landed in its
+                // size's proof file; pin that file's content digest into
+                // the provenance. Cached shards ran no solver, and
+                // resident encodings are proof-less.
+                if (!options.proofDir.empty() && !config.residentEncodings) {
+                    prov.proofDigest = proofFileDigest(
+                        proofFilePath(options, model.name(), prov.size));
+                }
             }
             result.shards.push_back(std::move(prov));
         }
@@ -776,21 +761,25 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                                                   : CacheOutcome::Miss);
 
     if (suiteStore) {
-        Manifest manifest;
-        manifest.suiteDigest = result.suiteDigest;
+        bool wrote = false;
         for (size_t ai = 0; ai < axioms.size(); ai++) {
-            std::vector<std::string> keys;
             for (size_t si = 0; si < n_sizes; si++) {
-                std::string key = shard_key(axioms[ai], si);
-                suiteStore->put(key, serializeShard(shards[ai][si]));
-                keys.push_back(std::move(key));
+                if (from_store[ai][si])
+                    continue;
+                suiteStore->put(keys[ai][si], serializeShard(shards[ai][si]));
+                wrote = true;
             }
-            manifest.axioms.emplace_back(axioms[ai], std::move(keys));
         }
-        suiteStore->put(manifest_key, serializeManifest(manifest));
-        suiteStore->flush();
+        std::string fresh = serializeManifest(result.suiteDigest, axioms, keys);
+        if (stored_manifest != fresh) {
+            suiteStore->put(manifest_key, fresh);
+            wrote = true;
+        }
+        if (wrote)
+            suiteStore->flush();
     }
 
+    // 5. Daemon mode keeps the answer resident for the next repeat.
     result.progress = progress.snapshot();
     result.seconds = wall.seconds();
     if (config.residentEncodings)

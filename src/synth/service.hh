@@ -22,8 +22,13 @@
  *  - suite manifests: suite/<modelDigest>/n<min>-<max>/<opts>[/one:<axiom>]
  *    the (modelDigest, bound, optionsDigest) index entry: the union
  *    suite's digest plus the list of shard keys it was assembled from.
- *    A warm repeat query resolves the manifest, loads the shards, and
+ *    A manifest only supplies a query's shard keys: a warm repeat query
+ *    takes them from it, renders no formula, loads the shards, and
  *    re-runs the deterministic assembly — no solver is built at all.
+ *    Without a usable manifest the keys are rendered once per query.
+ *    Either way the query runs one load / synthesize-misses / assemble
+ *    sequence; a manifest whose digest disagrees with its assembled
+ *    shards is re-derived from rendered keys and rewritten.
  *
  * The options digest covers only the knobs that change suite *bytes*
  * (canonicalizer, blocking granularity, budgets/caps); engine knobs
@@ -126,7 +131,7 @@ struct SuiteResult
     SynthProgressSnapshot progress;
 
     CacheOutcome cache = CacheOutcome::Miss;
-    std::vector<ShardProvenance> shards; ///< empty on a manifest hit
+    std::vector<ShardProvenance> shards; ///< one per (axiom, size)
     uint64_t shardsCached = 0;
     uint64_t shardsSynthesized = 0;
     double seconds = 0; ///< wall clock of the whole query

@@ -347,9 +347,7 @@ struct BaseEncoding::Impl
         size_t n = static_cast<size_t>(size);
         if (!options.proofDir.empty()) {
             proof = std::make_unique<sat::DratWriter>(
-                proofFilePath(options, model.name(), size),
-                options.proofText ? sat::DratFormat::Text
-                                  : sat::DratFormat::Binary);
+                proofFilePath(options, model.name(), size));
             solver.setProof(proof.get());
         }
         solver.addBaseFact(minimalityBase(model, n));

@@ -133,7 +133,7 @@ struct SynthOptions
     /**
      * Run the SAT backend's SatELite-style preprocessing pass (subsumption,
      * self-subsuming resolution, bounded variable elimination — see
-     * sat/simplify.hh) over each solver's permanent encoding before
+     * sat::Solver::simplify) over each solver's permanent encoding before
      * enumeration. Relation cells and fact-layer selectors are frozen, so
      * suites are byte-identical with the knob on or off; only the search
      * effort changes.
@@ -152,9 +152,6 @@ struct SynthOptions
      * digests ignore it.
      */
     std::string proofDir;
-
-    /** Write text-format proofs instead of the compact binary form. */
-    bool proofText = false;
 
     /**
      * When non-empty, each shard that exhausts its enumeration also

@@ -313,7 +313,8 @@ TEST(RelSolverTest, FindsTotalOrders)
         count++;
         ASSERT_LE(count, 24);
         EXPECT_TRUE(evalFormula(mkTotal(lt, mkUniv()), solver.instance()));
-        more = solver.blockAndContinue();
+        solver.blockModel();
+        more = solver.solve();
     }
     EXPECT_EQ(count, 24);
 }
@@ -336,7 +337,8 @@ TEST(RelSolverTest, AcyclicSubsetEnumeration)
     while (more == sat::SolveResult::Sat) {
         count++;
         ASSERT_LE(count, 7);
-        more = solver.blockAndContinue();
+        solver.blockModel();
+        more = solver.solve();
     }
     EXPECT_EQ(count, 7);
 }
@@ -364,7 +366,8 @@ TEST(RelSolverTest, PartialBlockingEnumeratesProjections)
     while (more == sat::SolveResult::Sat) {
         count++;
         ASSERT_LE(count, 16);
-        more = solver.blockAndContinue({0});
+        solver.blockModel({0});
+        more = solver.solve();
     }
     EXPECT_EQ(count, 16);
 }
@@ -491,7 +494,8 @@ TEST(EncoderCoverageTest, SolvingForATotalOrderOnASubset)
     while (more == sat::SolveResult::Sat) {
         count++;
         ASSERT_LE(count, 2);
-        more = solver.blockAndContinue();
+        solver.blockModel();
+        more = solver.solve();
     }
     EXPECT_EQ(count, 2);
 }

@@ -48,7 +48,8 @@ enumerate(RelSolver &solver)
     while (more == sat::SolveResult::Sat) {
         EXPECT_TRUE(keys.insert(matrixKey(solver.instance().matrix(0))).second)
             << "instance enumerated twice";
-        more = solver.blockAndContinue();
+        solver.blockModel();
+        more = solver.solve();
     }
     return keys;
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the DRAT proof writer and the independent backward checker:
- * writer/parser round trips in both formats, acceptance of valid RUP and
- * RAT derivations, and — the part that keeps the checker honest — one
+ * the writer/parser round trip, acceptance of valid RUP and RAT
+ * derivations, and — the part that keeps the checker honest — one
  * mutated proof per failure mode, each rejected with its own diagnostic
  * (dropped RUP step, premature deletion, bogus RAT pivot, truncated
- * binary record, missing conclusion).
+ * binary record, unrecognized header, missing conclusion).
  */
 
 #include <gtest/gtest.h>
@@ -58,37 +58,12 @@ validProof()
 
 // --- writer / parser round trips --------------------------------------------
 
-TEST(DratWriterTest, TextRoundTrip)
-{
-    std::string path = tmpPath("roundtrip.text.drat");
-    {
-        DratWriter w(path, DratFormat::Text);
-        ASSERT_TRUE(w.good());
-        w.addInput({Lit::pos(0), Lit::neg(1)});
-        w.addDerived({Lit::pos(0)});
-        w.deleteClause({Lit::pos(0), Lit::neg(1)});
-        w.addConclusion({Lit::neg(2)});
-    }
-    std::vector<DratStep> steps;
-    std::string error;
-    ASSERT_TRUE(parseDratFile(path, steps, error)) << error;
-    ASSERT_EQ(steps.size(), 4u);
-    EXPECT_EQ(steps[0].kind, DratStep::Kind::Input);
-    EXPECT_EQ(steps[0].lits,
-              (std::vector<Lit>{Lit::pos(0), Lit::neg(1)}));
-    EXPECT_EQ(steps[1].kind, DratStep::Kind::Derived);
-    EXPECT_EQ(steps[2].kind, DratStep::Kind::Delete);
-    EXPECT_EQ(steps[3].kind, DratStep::Kind::Conclusion);
-    EXPECT_EQ(steps[3].lits, (std::vector<Lit>{Lit::neg(2)}));
-    std::remove(path.c_str());
-}
-
 TEST(DratWriterTest, BinaryRoundTripWithWideVars)
 {
     // Variable 300 forces a multi-byte varint literal code.
     std::string path = tmpPath("roundtrip.bin.drat");
     {
-        DratWriter w(path, DratFormat::Binary);
+        DratWriter w(path);
         ASSERT_TRUE(w.good());
         w.addInput({Lit::pos(300), Lit::neg(0)});
         w.addDerived({});
@@ -204,7 +179,7 @@ TEST(DratCheckTest, RejectsTruncatedBinaryProof)
 {
     std::string path = tmpPath("truncated.bin.drat");
     {
-        DratWriter w(path, DratFormat::Binary);
+        DratWriter w(path);
         ASSERT_TRUE(w.good());
         w.addInput({Lit::pos(0)});
         w.addConclusion({Lit::pos(0)});
@@ -236,6 +211,22 @@ TEST(DratCheckTest, RejectsTruncatedBinaryProof)
     std::remove(path.c_str());
 }
 
+TEST(DratCheckTest, RejectsTextProofHeader)
+{
+    // The binary form is the only encoding: a trace in the retired text
+    // form is rejected by its header, not parsed.
+    std::string path = tmpPath("text.drat");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << "c ltsdrat v1 text\ni 1 0\nu 1 0\n";
+    }
+    DratCheckResult res = checkDratFile(path);
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("unrecognized proof header"), std::string::npos)
+        << res.error;
+    std::remove(path.c_str());
+}
+
 TEST(DratCheckTest, RejectsProofWithoutConclusion)
 {
     std::vector<DratStep> steps = validProof();
@@ -258,7 +249,7 @@ TEST(DratSolverTest, SolverProofChecks)
         s.addClause({Lit::neg(a), Lit::pos(b)});
         s.addClause({Lit::pos(a), Lit::neg(b)});
         s.addClause({Lit::neg(a), Lit::neg(b)});
-        DratWriter w(path, DratFormat::Text);
+        DratWriter w(path);
         s.setProof(&w);
         EXPECT_EQ(s.solve(), SolveResult::Unsat);
         s.proofConcludeUnsat();
@@ -278,7 +269,7 @@ TEST(DratSolverTest, FailedAssumptionsConcludeNegatedCube)
         Solver s;
         Var a = s.newVar(), b = s.newVar();
         s.addClause({Lit::neg(a), Lit::pos(b)});
-        DratWriter w(path, DratFormat::Binary);
+        DratWriter w(path);
         s.setProof(&w);
         EXPECT_EQ(s.solve({Lit::pos(a), Lit::neg(b)}),
                   SolveResult::Unsat);
@@ -313,7 +304,7 @@ TEST(DratSolverTest, SimplifiedSolverProofChecks)
         s.addClause({Lit::pos(v[0]), Lit::neg(v[4])});
         s.addClause({Lit::neg(v[3]), Lit::pos(v[5])});
         s.addClause({Lit::neg(v[3]), Lit::neg(v[5])});
-        DratWriter w(path, DratFormat::Text);
+        DratWriter w(path);
         s.setProof(&w);
         s.simplify();
         EXPECT_EQ(s.solve(), SolveResult::Unsat);

@@ -384,31 +384,5 @@ TEST(SimplifyTest, IsDeterministicAcrossIdenticalSolvers)
         EXPECT_EQ(s1.isEliminated(v), s2.isEliminated(v)) << "var " << v;
 }
 
-TEST(SimplifyTest, ConfigDisablesIndividualPasses)
-{
-    auto build = [](Solver &s) {
-        Var a = s.newVar(), b = s.newVar(), x = s.newVar();
-        s.setFrozen(a);
-        s.setFrozen(b);
-        s.addClause({Lit::pos(a), Lit::pos(b)});
-        s.addClause({Lit::pos(a), Lit::pos(b), Lit::neg(x)});
-        s.addClause({Lit::pos(x), Lit::pos(a)});
-        s.addClause({Lit::neg(x), Lit::pos(b)});
-    };
-    Solver no_subsumption;
-    build(no_subsumption);
-    SimplifyConfig cfg;
-    cfg.subsumption = false;
-    ASSERT_TRUE(no_subsumption.simplify(cfg));
-    EXPECT_EQ(no_subsumption.stats().subsumedClauses, 0u);
-
-    Solver no_elim;
-    build(no_elim);
-    cfg = SimplifyConfig();
-    cfg.varElim = false;
-    ASSERT_TRUE(no_elim.simplify(cfg));
-    EXPECT_EQ(no_elim.stats().eliminatedVars, 0u);
-}
-
 } // namespace
 } // namespace lts::sat

@@ -106,16 +106,15 @@ TEST_F(ProofTest, IncrementalEngineProofsCheck)
     EXPECT_EQ(checkAllProofs(), 2u);
 }
 
-TEST_F(ProofTest, TextProofsCheckUnderParallelJobs)
+TEST_F(ProofTest, ProofsCheckUnderParallelJobs)
 {
-    // Size jobs running concurrently each write their own file; the
-    // text format must check as well as the binary one.
+    // Size jobs running concurrently each write their own file, and
+    // every file must check on its own.
     auto model = mm::makeModel("tso");
     SynthOptions opt;
     opt.minSize = 2;
     opt.maxSize = 3;
     opt.jobs = 4;
-    opt.proofText = true;
     opt.proofDir = dir.string();
     synthesizeAll(*model, opt);
     EXPECT_EQ(checkAllProofs(), 2u);
@@ -126,7 +125,6 @@ TEST_F(ProofTest, ProofKnobsAreEngineKnobs)
     SynthOptions plain;
     SynthOptions proved = plain;
     proved.proofDir = dir.string();
-    proved.proofText = true;
     proved.dumpDimacsDir = dir.string();
     EXPECT_EQ(optionsDigest(plain), optionsDigest(proved));
 }

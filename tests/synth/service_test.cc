@@ -3,8 +3,9 @@
  * Service-layer tests: cold/warm byte identity through the store and
  * the resident (daemon-mode) path, registry-wide agreement with a plain
  * synthesizeAll run, shard-level hits for axiom-scoped and smaller-bound
- * queries, shard-level invalidation when one axiom is edited,
- * digest semantics, and the request/result wire payload round trip.
+ * queries, shard-level invalidation when one axiom is edited, the
+ * fallbacks for a damaged or stale manifest, digest semantics, and the
+ * request/result wire payload round trip.
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +13,14 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "litmus/canon.hh"
 #include "litmus/digest.hh"
 #include "mm/registry.hh"
 #include "rel/formula.hh"
+#include "store/store.hh"
 #include "synth/service.hh"
 #include "synth/synthesizer.hh"
 
@@ -55,6 +58,36 @@ class ServiceTest : public ::testing::Test
         config.storeDir = dir;
         config.residentEncodings = resident;
         return config;
+    }
+
+    /** A cold tso ≤3 query on a fresh store from a Service of its own;
+     *  the manifest fallback tests all start from it. */
+    synth::SuiteResult
+    coldSmallTso(bool resident)
+    {
+        fs::remove_all(dir);
+        return synth::Service(storeConfig(resident)).query(smallTso());
+    }
+
+    static synth::SuiteRequest
+    smallTso()
+    {
+        synth::SuiteRequest request;
+        request.model = "tso";
+        request.maxSize = 3;
+        return request;
+    }
+
+    /** The key of the one manifest a single query leaves in the store. */
+    std::string
+    manifestKey() const
+    {
+        for (const std::string &key : store::SuiteStore(dir).keys()) {
+            if (key.rfind("suite/", 0) == 0)
+                return key;
+        }
+        ADD_FAILURE() << "no manifest in the store";
+        return std::string();
     }
 
     std::string dir;
@@ -237,6 +270,96 @@ TEST_F(ServiceTest, ScopedAndSmallerBoundQueriesReuseFullQueryShards)
             for (size_t i = 0; i < warm.suites.size(); i++)
                 expectSameTests(warm.suites[i], cold.suites[i]);
         }
+    }
+}
+
+TEST_F(ServiceTest, UnparseableManifestIsRederivedFromShards)
+{
+    for (bool resident : {false, true}) {
+        SCOPED_TRACE(resident ? "resident" : "one-shot");
+        synth::SuiteResult cold = coldSmallTso(resident);
+        const std::string key = manifestKey();
+        std::optional<std::string> manifest;
+        {
+            store::SuiteStore store(dir);
+            manifest = store.get(key);
+            ASSERT_TRUE(manifest);
+            store.put(key, "not a manifest\n");
+            store.flush();
+        }
+
+        synth::SuiteResult warm =
+            synth::Service(storeConfig(resident)).query(smallTso());
+        EXPECT_EQ(warm.cache, synth::CacheOutcome::Hit);
+        EXPECT_EQ(warm.shardsSynthesized, 0u);
+        EXPECT_EQ(warm.progress.jobsQueued, 0u);
+        EXPECT_EQ(warm.suiteDigest, cold.suiteDigest);
+        // Re-derived from the shard records, the manifest is whole again.
+        EXPECT_EQ(store::SuiteStore(dir).get(key), manifest);
+    }
+}
+
+TEST_F(ServiceTest, ManifestMissingAShardSynthesizesOnlyThatShard)
+{
+    for (bool resident : {false, true}) {
+        SCOPED_TRACE(resident ? "resident" : "one-shot");
+        synth::SuiteResult cold = coldSmallTso(resident);
+        const std::string key = manifestKey();
+        {
+            store::SuiteStore store(dir);
+            std::string manifest = store.get(key).value_or("");
+            size_t at = manifest.find("\nshard ");
+            ASSERT_NE(at, std::string::npos) << manifest;
+            at += 7;
+            std::string shard =
+                manifest.substr(at, manifest.find('\n', at) - at);
+            ASSERT_TRUE(store.contains(shard)) << shard;
+            store.erase(shard);
+            store.flush();
+        }
+
+        synth::SuiteResult warm =
+            synth::Service(storeConfig(resident)).query(smallTso());
+        EXPECT_EQ(warm.cache, synth::CacheOutcome::Partial);
+        EXPECT_EQ(warm.shardsSynthesized, 1u);
+        EXPECT_EQ(warm.progress.jobsQueued, 1u);
+        EXPECT_EQ(warm.suiteDigest, cold.suiteDigest);
+
+        synth::SuiteResult again =
+            synth::Service(storeConfig(resident)).query(smallTso());
+        EXPECT_EQ(again.cache, synth::CacheOutcome::Hit);
+        EXPECT_EQ(again.shardsSynthesized, 0u);
+        EXPECT_EQ(again.suiteDigest, cold.suiteDigest);
+    }
+}
+
+TEST_F(ServiceTest, ManifestDigestMismatchIsRewritten)
+{
+    for (bool resident : {false, true}) {
+        SCOPED_TRACE(resident ? "resident" : "one-shot");
+        synth::SuiteResult cold = coldSmallTso(resident);
+        const std::string key = manifestKey();
+        std::string manifest;
+        {
+            store::SuiteStore store(dir);
+            manifest = store.get(key).value_or("");
+            const std::string line = "digest " + cold.suiteDigest + "\n";
+            size_t at = manifest.find(line);
+            ASSERT_NE(at, std::string::npos) << manifest;
+            std::string stale = manifest;
+            stale.replace(at, line.size(),
+                          "digest lts-suite-v1:0000000000000000\n");
+            store.put(key, stale);
+            store.flush();
+        }
+
+        synth::SuiteResult warm =
+            synth::Service(storeConfig(resident)).query(smallTso());
+        EXPECT_EQ(warm.cache, synth::CacheOutcome::Hit);
+        EXPECT_EQ(warm.shardsSynthesized, 0u);
+        EXPECT_EQ(warm.suiteDigest, cold.suiteDigest);
+        // The stale manifest is overwritten with the served digest.
+        EXPECT_EQ(store::SuiteStore(dir).get(key), manifest);
     }
 }
 
