@@ -60,7 +60,7 @@ DratWriter::flush()
 }
 
 void
-DratWriter::put(char tag, const std::vector<Lit> &lits)
+DratWriter::put(char tag, std::span<const Lit> lits)
 {
     if (!file)
         return;

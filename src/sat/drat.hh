@@ -43,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,12 +82,12 @@ class DratWriter
     void addConclusion(const std::vector<Lit> &lits) { put('u', lits); }
 
     /** Log a deletion ('d') of a clause previously added. */
-    void deleteClause(const std::vector<Lit> &lits) { put('d', lits); }
+    void deleteClause(std::span<const Lit> lits) { put('d', lits); }
 
     void flush();
 
   private:
-    void put(char tag, const std::vector<Lit> &lits);
+    void put(char tag, std::span<const Lit> lits);
 
     std::string filePath;
     std::FILE *file = nullptr;

@@ -88,14 +88,14 @@ class Simplifier
     void processTrail();
     void drainSubsumption();
     void backwardSubsume(ClauseRef cref);
-    SubsumeResult subsumeCheck(const std::vector<Lit> &c,
-                               const std::vector<Lit> &d, Lit &flip) const;
+    SubsumeResult subsumeCheck(std::span<const Lit> c, std::span<const Lit> d,
+                               Lit &flip) const;
     void strengthenClause(ClauseRef cref, Lit drop);
     bool bveSweep();
     bool tryEliminate(Var v);
 
     static uint64_t
-    signature(const std::vector<Lit> &lits)
+    signature(std::span<const Lit> lits)
     {
         uint64_t sig = 0;
         for (Lit l : lits)
@@ -126,7 +126,9 @@ Solver::simplify()
     if (!ok)
         return false;
     Simplifier pass(*this);
-    return pass.run();
+    bool consistent = pass.run();
+    maybeCompactArena();
+    return consistent;
 }
 
 bool
@@ -184,7 +186,7 @@ Simplifier::collectGroupScope()
             const auto &c = s.clauses[cref];
             if (c.deleted)
                 continue;
-            for (Lit l : c.lits)
+            for (Lit l : c.lits())
                 noElim[l.var()] = 1;
         }
     }
@@ -216,7 +218,7 @@ Simplifier::buildIndex()
         assert(!c.learned);
         bool satisfied = false;
         bool shrinks = false;
-        for (Lit l : c.lits) {
+        for (Lit l : c.lits()) {
             if (s.value(l) == LBool::True)
                 satisfied = true;
             else if (s.value(l) == LBool::False)
@@ -233,7 +235,8 @@ Simplifier::buildIndex()
             // database when the residue's 'a' line appears. (The add
             // can reallocate the clause store and, via propagation,
             // even delete the original itself; hence the re-checks.)
-            std::vector<Lit> lits = c.lits;
+            auto span = c.lits();
+            std::vector<Lit> lits(span.begin(), span.end());
             addOrEnqueue(std::move(lits));
             if (!s.ok)
                 return;
@@ -250,13 +253,13 @@ void
 Simplifier::registerClause(ClauseRef cref)
 {
     const auto &c = s.clauses[cref];
-    assert(c.lits.size() >= 2);
+    assert(c.lits().size() >= 2);
     if (sigs.size() <= static_cast<size_t>(cref)) {
         sigs.resize(s.clauses.size(), 0);
         queued.resize(s.clauses.size(), 0);
     }
-    sigs[cref] = signature(c.lits);
-    for (Lit l : c.lits)
+    sigs[cref] = signature(c.lits());
+    for (Lit l : c.lits())
         occ[l.index()].push_back(cref);
     enqueueSubsumption(cref);
 }
@@ -353,7 +356,8 @@ Simplifier::processTrail()
             // Add before delete: the residue's proof line needs the
             // original live. The add can reallocate s.clauses and even
             // delete the original via re-entrant trail processing.
-            std::vector<Lit> lits = s.clauses[cref].lits;
+            auto span = s.clauses[cref].lits();
+            std::vector<Lit> lits(span.begin(), span.end());
             addOrEnqueue(std::move(lits));
             if (!s.ok)
                 return;
@@ -394,7 +398,7 @@ Simplifier::backwardSubsume(ClauseRef cref)
     size_t best_occ = 0;
     {
         const auto &c = s.clauses[cref];
-        for (Lit l : c.lits) {
+        for (Lit l : c.lits()) {
             size_t n = occ[l.index()].size() + occ[(~l).index()].size();
             if (!best.valid() || n < best_occ) {
                 best = l;
@@ -414,11 +418,11 @@ Simplifier::backwardSubsume(ClauseRef cref)
                 return; // strengthening cascaded back onto the subsumer
             const auto &c = s.clauses[cref];
             const auto &d = s.clauses[dref];
-            if (c.lits.size() > d.lits.size() ||
+            if (c.lits().size() > d.lits().size() ||
                 (sigs[cref] & ~sigs[dref]) != 0)
                 continue;
             Lit flip;
-            SubsumeResult res = subsumeCheck(c.lits, d.lits, flip);
+            SubsumeResult res = subsumeCheck(c.lits(), d.lits(), flip);
             if (res == SubsumeResult::Subsumes) {
                 s.statsData.subsumedClauses++;
                 s.removeClause(dref);
@@ -432,7 +436,7 @@ Simplifier::backwardSubsume(ClauseRef cref)
 }
 
 Simplifier::SubsumeResult
-Simplifier::subsumeCheck(const std::vector<Lit> &c, const std::vector<Lit> &d,
+Simplifier::subsumeCheck(std::span<const Lit> c, std::span<const Lit> d,
                          Lit &flip) const
 {
     for (Lit l : d)
@@ -461,12 +465,12 @@ Simplifier::strengthenClause(ClauseRef cref, Lit drop)
     std::vector<Lit> lits;
     {
         const auto &c = s.clauses[cref];
-        lits.reserve(c.lits.size() - 1);
-        for (Lit l : c.lits) {
+        lits.reserve(c.lits().size() - 1);
+        for (Lit l : c.lits()) {
             if (l != drop)
                 lits.push_back(l);
         }
-        assert(lits.size() + 1 == c.lits.size());
+        assert(lits.size() + 1 == c.lits().size());
     }
     s.statsData.strengthenedLits++;
     // Add before delete: the strengthened clause is RUP from the
@@ -536,11 +540,11 @@ Simplifier::tryEliminate(Var v)
             const auto &nc = s.clauses[nref];
             resolvent.clear();
             bool tautology = false;
-            for (Lit l : pc.lits) {
+            for (Lit l : pc.lits()) {
                 if (l.var() != v)
                     resolvent.push_back(l);
             }
-            for (Lit l : nc.lits) {
+            for (Lit l : nc.lits()) {
                 if (l.var() == v)
                     continue;
                 if (std::find(resolvent.begin(), resolvent.end(), ~l) !=
@@ -567,9 +571,11 @@ Simplifier::tryEliminate(Var v)
     record.v = v;
     record.clauses.reserve(before);
     for (ClauseRef cref : pos)
-        record.clauses.push_back(s.clauses[cref].lits);
+        record.clauses.emplace_back(s.clauses[cref].lits().begin(),
+                                    s.clauses[cref].lits().end());
     for (ClauseRef cref : neg)
-        record.clauses.push_back(s.clauses[cref].lits);
+        record.clauses.emplace_back(s.clauses[cref].lits().begin(),
+                                    s.clauses[cref].lits().end());
     s.elimStack.push_back(std::move(record));
     s.elimFlags[v] = 1;
     s.statsData.eliminatedVars++;

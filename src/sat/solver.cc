@@ -3,11 +3,37 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <new>
 
 #include "sat/drat.hh"
 
 namespace lts::sat
 {
+
+namespace
+{
+
+/**
+ * Compact the clause arena once deleted clauses hold more than 1/n of
+ * its words (MiniSat's 20%): the arena then stays within 1.25x of its
+ * live clauses, and each compaction's copy is paid for by the deletions
+ * since the last one.
+ */
+constexpr size_t kArenaWasteShare = 5;
+
+} // namespace
+
+Solver::ClauseArena::ClauseArena()
+{
+    static_assert(sizeof(InternalClause) == kHeaderWords * sizeof(uint64_t),
+                  "a clause header spans exactly kHeaderWords arena words");
+    static_assert(alignof(InternalClause) <= alignof(uint64_t));
+    // The tombstone: compacted-away ids resolve here, to a clause that
+    // reads as deleted and empty.
+    words.resize(kHeaderWords);
+    new (words.data()) InternalClause{0, kNoReason, 0, false, true, 0.0};
+}
 
 Solver::Solver() = default;
 
@@ -44,13 +70,19 @@ Solver::setFrozen(Var v, bool frozen)
 // ---------------------------------------------------------------------------
 
 Solver::ClauseRef
-Solver::allocClause(std::vector<Lit> lits, bool learned)
+Solver::allocClause(const std::vector<Lit> &lits, bool learned)
 {
     ClauseRef cref = static_cast<ClauseRef>(clauses.size());
-    InternalClause c;
-    c.lits = std::move(lits);
-    c.learned = learned;
-    clauses.push_back(std::move(c));
+    auto size = static_cast<uint32_t>(lits.size());
+    size_t off = clauses.words.size();
+    assert(off + ClauseArena::wordsFor(size) <= UINT32_MAX &&
+           "clause arena outgrew 32-bit offsets");
+    clauses.words.resize(off + ClauseArena::wordsFor(size));
+    uint64_t *at = clauses.words.data() + off;
+    new (at) InternalClause{size, cref, 0, learned, false, 0.0};
+    std::memcpy(at + ClauseArena::kHeaderWords, lits.data(),
+                size * sizeof(Lit));
+    clauses.offsets.push_back(static_cast<uint32_t>(off));
     if (learned) {
         numLearnedClauses++;
         statsData.learnedClauses++;
@@ -63,19 +95,21 @@ Solver::allocClause(std::vector<Lit> lits, bool learned)
 void
 Solver::attachClause(ClauseRef cref)
 {
-    const auto &c = clauses[cref];
-    assert(c.lits.size() >= 2);
-    watches[(~c.lits[0]).index()].push_back(cref);
-    watches[(~c.lits[1]).index()].push_back(cref);
+    uint32_t off = clauses.offsets[cref];
+    const auto &c = clauses.at(off);
+    assert(c.size >= 2);
+    watches[(~c.lits()[0]).index()].push_back(off);
+    watches[(~c.lits()[1]).index()].push_back(off);
 }
 
 void
 Solver::detachClause(ClauseRef cref)
 {
-    const auto &c = clauses[cref];
+    uint32_t off = clauses.offsets[cref];
+    const auto &c = clauses.at(off);
     for (int i = 0; i < 2; i++) {
-        auto &ws = watches[(~c.lits[i]).index()];
-        auto it = std::find(ws.begin(), ws.end(), cref);
+        auto &ws = watches[(~c.lits()[i]).index()];
+        auto it = std::find(ws.begin(), ws.end(), off);
         assert(it != ws.end());
         *it = ws.back();
         ws.pop_back();
@@ -88,22 +122,65 @@ Solver::removeClause(ClauseRef cref)
     auto &c = clauses[cref];
     assert(!c.deleted);
     if (proof)
-        proof->deleteClause(c.lits);
+        proof->deleteClause(c.lits());
     detachClause(cref);
     // The clause may be recorded as the reason of a root-level assignment;
     // root-level reasons are never dereferenced, but clear the record so
     // no stale reference survives the removal.
-    Var v0 = c.lits[0].var();
+    Var v0 = c.lits()[0].var();
     if (reasons[v0] == cref)
         reasons[v0] = kNoReason;
+    // The words stay in place, unwatched, until maybeCompactArena().
     c.deleted = true;
-    c.lits.clear();
-    c.lits.shrink_to_fit();
+    clauses.wasted += ClauseArena::wordsFor(c.size);
     if (c.learned)
         numLearnedClauses--;
     else
         numProblemClauses--;
     statsData.deletedClauses++;
+}
+
+void
+Solver::maybeCompactArena()
+{
+    if (clauses.wasted * kArenaWasteShare <= clauses.words.size())
+        return;
+    statsData.arenaCompactions++;
+    const uint32_t end = static_cast<uint32_t>(clauses.words.size());
+
+    // 1. New offsets: live clauses packed in arena order, which is id
+    //    order; deleted ids fall to the tombstone.
+    uint32_t dest = ClauseArena::kHeaderWords;
+    for (uint32_t off = dest; off < end;) {
+        const InternalClause &c = clauses.at(off);
+        uint32_t n = ClauseArena::wordsFor(c.size);
+        clauses.offsets[c.id] = c.deleted ? 0 : dest;
+        if (!c.deleted)
+            dest += n;
+        off += n;
+    }
+    // 2. Retarget each watcher in place, while the old headers still
+    //    name their ids. Every list keeps its order, so the search after
+    //    a compaction is the search without one.
+    for (auto &ws : watches) {
+        for (uint32_t &w : ws) {
+            assert(!clauses.at(w).deleted);
+            w = clauses.offsets[clauses.at(w).id];
+        }
+    }
+    // 3. Slide the live clauses down. A clause never moves past its old
+    //    start, so copying in arena order never overwrites a clause
+    //    before it has moved.
+    for (uint32_t off = ClauseArena::kHeaderWords; off < end;) {
+        const InternalClause &c = clauses.at(off);
+        uint32_t n = ClauseArena::wordsFor(c.size);
+        if (!c.deleted && clauses.offsets[c.id] != off)
+            std::memmove(clauses.words.data() + clauses.offsets[c.id],
+                         clauses.words.data() + off, n * sizeof(uint64_t));
+        off += n;
+    }
+    clauses.words.resize(dest);
+    clauses.wasted = 0;
 }
 
 bool
@@ -242,7 +319,8 @@ Solver::release(Group g)
         auto &c = clauses[cref];
         if (c.deleted)
             continue;
-        if (std::find(c.lits.begin(), c.lits.end(), guard) != c.lits.end()) {
+        auto lits = c.lits();
+        if (std::find(lits.begin(), lits.end(), guard) != lits.end()) {
             removeClause(cref);
             continue;
         }
@@ -254,6 +332,7 @@ Solver::release(Group g)
     // again (and any remaining guarded clause is root-satisfied).
     if (ok && value(info.selector) == LBool::Undef)
         addClause({guard});
+    maybeCompactArena();
 }
 
 // ---------------------------------------------------------------------------
@@ -300,32 +379,36 @@ Solver::propagate()
     ClauseRef confl = kNoReason;
     while (qhead < trail.size()) {
         Lit p = trail[qhead++];
+        Lit false_lit = ~p;
         statsData.propagations++;
+        // Pushing onto another literal's list never touches this one's
+        // buffer (the new watch is not false, ~p is), so the pointers
+        // stay valid across the loop.
         auto &ws = watches[p.index()];
-        size_t keep = 0;
-        size_t i = 0;
-        for (; i < ws.size(); i++) {
-            ClauseRef cref = ws[i];
-            auto &c = clauses[cref];
-            if (c.deleted)
-                continue; // drop stale watch
+        uint32_t *i = ws.data();
+        uint32_t *keep = i;
+        uint32_t *end = i + ws.size();
+        while (i != end) {
+            uint32_t off = *i++;
+            InternalClause &c = clauses.at(off);
+            assert(!c.deleted && "removeClause detaches both watches");
+            Lit *lits = c.lits().data();
             // Make sure the false literal (~p) sits at position 1.
-            Lit false_lit = ~p;
-            if (c.lits[0] == false_lit)
-                std::swap(c.lits[0], c.lits[1]);
-            assert(c.lits[1] == false_lit);
+            if (lits[0] == false_lit)
+                std::swap(lits[0], lits[1]);
+            assert(lits[1] == false_lit);
 
-            Lit first = c.lits[0];
+            Lit first = lits[0];
             if (value(first) == LBool::True) {
-                ws[keep++] = cref;
+                *keep++ = off;
                 continue;
             }
             // Search for a replacement watch.
             bool found = false;
-            for (size_t k = 2; k < c.lits.size(); k++) {
-                if (value(c.lits[k]) != LBool::False) {
-                    std::swap(c.lits[1], c.lits[k]);
-                    watches[(~c.lits[1]).index()].push_back(cref);
+            for (uint32_t k = 2; k < c.size; k++) {
+                if (value(lits[k]) != LBool::False) {
+                    std::swap(lits[1], lits[k]);
+                    watches[(~lits[1]).index()].push_back(off);
                     found = true;
                     break;
                 }
@@ -333,18 +416,18 @@ Solver::propagate()
             if (found)
                 continue;
             // Clause is unit or conflicting; the watch stays.
-            ws[keep++] = cref;
+            *keep++ = off;
             if (value(first) == LBool::False) {
-                confl = cref;
+                confl = c.id;
                 qhead = trail.size();
                 // Preserve the remaining watches.
-                for (i++; i < ws.size(); i++)
-                    ws[keep++] = ws[i];
+                while (i != end)
+                    *keep++ = *i++;
                 break;
             }
-            uncheckedEnqueue(first, cref);
+            uncheckedEnqueue(first, c.id);
         }
-        ws.resize(keep);
+        ws.resize(static_cast<size_t>(keep - ws.data()));
         if (confl != kNoReason)
             break;
     }
@@ -372,8 +455,9 @@ Solver::analyze(ClauseRef confl, std::vector<Lit> &out_learnt, int &out_btlevel,
         if (c.learned)
             claBumpActivity(c);
 
-        for (size_t j = p.valid() ? 1 : 0; j < c.lits.size(); j++) {
-            Lit q = c.lits[j];
+        auto lits = c.lits();
+        for (size_t j = p.valid() ? 1 : 0; j < lits.size(); j++) {
+            Lit q = lits[j];
             Var v = q.var();
             if (!seen[v] && levels[v] > 0) {
                 seen[v] = 1;
@@ -453,9 +537,9 @@ Solver::litRedundant(Lit l, uint32_t abstract_levels)
         Lit cur = analyzeStack.back();
         analyzeStack.pop_back();
         assert(reasons[cur.var()] != kNoReason);
-        const auto &c = clauses[reasons[cur.var()]];
-        for (size_t i = 1; i < c.lits.size(); i++) {
-            Lit q = c.lits[i];
+        auto lits = clauses[reasons[cur.var()]].lits();
+        for (size_t i = 1; i < lits.size(); i++) {
+            Lit q = lits[i];
             Var v = q.var();
             if (seen[v] || levels[v] == 0)
                 continue;
@@ -494,10 +578,10 @@ Solver::analyzeFinal(Lit p)
             assert(levels[v] > 0);
             conflict.push_back(~trail[i - 1]);
         } else {
-            const auto &c = clauses[reasons[v]];
-            for (size_t j = 1; j < c.lits.size(); j++) {
-                if (levels[c.lits[j].var()] > 0)
-                    seen[c.lits[j].var()] = 1;
+            auto lits = clauses[reasons[v]].lits();
+            for (size_t j = 1; j < lits.size(); j++) {
+                if (levels[lits[j].var()] > 0)
+                    seen[lits[j].var()] = 1;
             }
         }
         seen[v] = 0;
@@ -552,7 +636,7 @@ Solver::pickBranchLit()
 bool
 Solver::satisfiedAtRoot(const InternalClause &c) const
 {
-    for (Lit l : c.lits) {
+    for (Lit l : c.lits()) {
         if (value(l) == LBool::True && levels[l.var()] == 0)
             return true;
     }
@@ -576,14 +660,14 @@ Solver::reduceDB()
         auto &c = clauses[cref];
         if (c.deleted)
             continue;
-        bool locked = reasons[c.lits[0].var()] == cref &&
-                      value(c.lits[0]) == LBool::True;
+        bool locked = reasons[c.lits()[0].var()] == cref &&
+                      value(c.lits()[0]) == LBool::True;
         if (!locked && satisfiedAtRoot(c)) {
             removeClause(cref);
             continue;
         }
         learnts[keep++] = cref;
-        if (!locked && c.lits.size() > 2 && c.lbd > 2)
+        if (!locked && c.size > 2 && c.lbd > 2)
             cands.push_back(cref);
     }
     learnts.resize(keep);
@@ -603,6 +687,7 @@ Solver::reduceDB()
                                      return clauses[cref].deleted;
                                  }),
                   learnts.end());
+    maybeCompactArena();
 }
 
 void
@@ -865,10 +950,12 @@ Solver::liveClauses(bool include_learned) const
         if (reasons[trail[i].var()] == kNoReason)
             out.push_back({trail[i]});
     }
-    for (const auto &c : clauses) {
+    for (ClauseRef cref = 0; cref < static_cast<ClauseRef>(clauses.size());
+         cref++) {
+        const auto &c = clauses[cref];
         if (c.deleted || (c.learned && !include_learned))
             continue;
-        out.push_back(c.lits);
+        out.emplace_back(c.lits().begin(), c.lits().end());
     }
     return out;
 }
@@ -882,11 +969,13 @@ Solver::checkModel() const
         return false;
     if (modelStale)
         reconstructModel();
-    for (const auto &c : clauses) {
+    for (ClauseRef cref = 0; cref < static_cast<ClauseRef>(clauses.size());
+         cref++) {
+        const auto &c = clauses[cref];
         if (c.deleted || c.learned)
             continue;
         bool satisfied = false;
-        for (Lit l : c.lits) {
+        for (Lit l : c.lits()) {
             if (l.var() < static_cast<Var>(model.size()) && modelValue(l)) {
                 satisfied = true;
                 break;

@@ -18,12 +18,28 @@
  * queries and permanently retired later without rebuilding the solver.
  * Learned clauses derived from a group carry the group's activation
  * literal and die with it; everything else survives across queries.
+ *
+ * Clause store. Every clause lives in one contiguous arena of 8-byte
+ * words: a 24-byte header (InternalClause) with the literals inline
+ * after it, so a watch visit reads header and literals through a single
+ * dereference. Watch lists hold arena offsets; everything else (group
+ * clause lists, learnts, reasons, the simplifier's side tables) names a
+ * clause by its dense id, and a table maps each id to its offset.
+ * Removing a clause only marks it deleted. Once deleted clauses hold a
+ * fixed share of the arena, release(), reduceDB() and simplify() compact
+ * it: live clauses slide down in id order and every watcher is rewritten
+ * in place. Ids, watch-list order and literal positions all survive, so
+ * the layout is invisible to the search — the same inputs give the same
+ * conflicts, learned clauses and DRAT proof bytes however the arena has
+ * been compacted.
  */
 
 #ifndef LTS_SAT_SOLVER_HH
 #define LTS_SAT_SOLVER_HH
 
 #include <cstdint>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "sat/types.hh"
@@ -51,6 +67,7 @@ struct SolverStats
     uint64_t solves = 0;          ///< solve() calls
     uint64_t modelReplays = 0;    ///< lazy replays of the elimination stack
     uint64_t keptLevels = 0;      ///< assumption levels reused across calls
+    uint64_t arenaCompactions = 0; ///< clause-arena compactions
 };
 
 /**
@@ -301,16 +318,99 @@ class Solver
      */
     bool checkModel() const;
 
+    /**
+     * Words (8 bytes each) the clause arena currently spans, deleted
+     * clauses awaiting compaction included. Compaction keeps this within
+     * a constant factor of the live clauses' own words.
+     */
+    size_t arenaWords() const { return clauses.words.size(); }
+
   private:
     friend class Simplifier; ///< the preprocessing pass (simplify.cc)
-    /** Internal clause representation. */
+
+    /** Dense clause id: index into groups[].clauseRefs, learnts, reasons. */
+    using ClauseRef = int32_t;
+    static constexpr ClauseRef kNoReason = -1;
+
+    /**
+     * A clause's 24-byte header in the arena; its `size` literals follow
+     * it inline, padded so the next header stays 8-byte aligned. Only
+     * the arena creates headers. A deleted clause keeps its header and
+     * literals until the next compaction, after which its id resolves to
+     * the arena's permanent empty, deleted tombstone at offset 0.
+     *
+     * Exactness: propagate() swaps literals in place exactly as a vector
+     * store did, and compaction copies literals verbatim, so the arena
+     * never reorders a literal or a watch.
+     */
     struct InternalClause
     {
-        std::vector<Lit> lits;
-        double activity = 0.0;
-        int32_t lbd = 0; ///< literal block distance at learn time
-        bool learned = false;
-        bool deleted = false;
+        uint32_t size;
+        ClauseRef id;
+        int32_t lbd; ///< literal block distance at learn time
+        bool learned;
+        bool deleted;
+        double activity; ///< reduceDB's tie-break; a float would reorder
+
+        std::span<Lit>
+        lits()
+        {
+            return {std::launder(reinterpret_cast<Lit *>(this + 1)), size};
+        }
+
+        std::span<const Lit>
+        lits() const
+        {
+            return {std::launder(reinterpret_cast<const Lit *>(this + 1)),
+                    size};
+        }
+    };
+
+    /** Every clause, as headers with inline literals in one vector. */
+    struct ClauseArena
+    {
+        static constexpr uint32_t kHeaderWords = 3;
+        /** Words occupied by a clause of @p lits literals. */
+        static constexpr uint32_t
+        wordsFor(uint32_t lits)
+        {
+            return kHeaderWords + (lits + 1) / 2;
+        }
+
+        std::vector<uint64_t> words;   ///< tombstone, then clauses by id
+        std::vector<uint32_t> offsets; ///< id -> offset into words
+        size_t wasted = 0;             ///< words of deleted clauses
+
+        ClauseArena();
+
+        InternalClause &
+        at(uint32_t off)
+        {
+            return *std::launder(
+                reinterpret_cast<InternalClause *>(words.data() + off));
+        }
+
+        const InternalClause &
+        at(uint32_t off) const
+        {
+            return *std::launder(
+                reinterpret_cast<const InternalClause *>(words.data() + off));
+        }
+
+        InternalClause &
+        operator[](ClauseRef cref)
+        {
+            return at(offsets[cref]);
+        }
+
+        const InternalClause &
+        operator[](ClauseRef cref) const
+        {
+            return at(offsets[cref]);
+        }
+
+        /** Number of ids handed out, deleted clauses included. */
+        size_t size() const { return offsets.size(); }
     };
 
     struct GroupInfo
@@ -320,23 +420,23 @@ class Solver
         bool releasedFlag = false;
     };
 
-    using ClauseRef = int32_t;
-    static constexpr ClauseRef kNoReason = -1;
-
     // --- clause & watch management -------------------------------------
-    ClauseRef allocClause(std::vector<Lit> lits, bool learned);
+    ClauseRef allocClause(const std::vector<Lit> &lits, bool learned);
     void attachClause(ClauseRef cref);
     void detachClause(ClauseRef cref);
     void removeClause(ClauseRef cref);
+    void maybeCompactArena();
     bool addClauseInternal(Clause lits, Group group);
 
     // --- assignment trail -----------------------------------------------
     LBool value(Var v) const { return assigns[v]; }
+    /** Branch-free: with False=0, True=1, Undef=2 a negative literal
+     *  flips the low bit of a defined value and leaves Undef alone. */
     LBool
     value(Lit l) const
     {
-        LBool b = assigns[l.var()];
-        return l.sign() ? ~b : b;
+        auto b = static_cast<uint8_t>(assigns[l.var()]);
+        return static_cast<LBool>(b ^ (uint8_t(l.sign()) & ~(b >> 1)));
     }
     int decisionLevel() const { return static_cast<int>(trailLims.size()); }
     void newDecisionLevel() { trailLims.push_back(trail.size()); }
@@ -377,9 +477,10 @@ class Solver
     void heapPercolateDown(int i);
 
     // --- state -------------------------------------------------------------
-    std::vector<InternalClause> clauses;
+    ClauseArena clauses;
     std::vector<ClauseRef> learnts;
-    std::vector<std::vector<ClauseRef>> watches; // indexed by Lit::index()
+    /** Arena offsets of the clauses watching each Lit::index(). */
+    std::vector<std::vector<uint32_t>> watches;
 
     std::vector<LBool> assigns;
     /** The last satisfying assignment. Mutable together with modelStale:

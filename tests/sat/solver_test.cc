@@ -680,6 +680,163 @@ TEST(SolverTest, AssumptionLevelsSurviveOnlyTheCommonPrefix)
     EXPECT_EQ(s.stats().solves, 4u);
 }
 
+TEST(SolverTest, SearchIsPinned)
+{
+    // The clause store's layout must never change the search: the same
+    // watch order and literal positions give the same conflicts,
+    // decisions and learned clauses. A fixed, self-generated workload
+    // touches every path that moves clauses around (grouped blocking
+    // enumeration, release, assumptions, simplify, a forced reduction)
+    // and its counters are pinned exactly. A change to these numbers
+    // means the search changed, not just its speed.
+    std::mt19937 rng(20261017);
+    const int num_vars = 150;
+    const int frozen = 24; // the variables assumed or blocked on
+    Solver s;
+    for (int v = 0; v < num_vars; v++)
+        s.newVar();
+    for (int v = 0; v < frozen; v++)
+        s.setFrozen(v);
+    auto randomLit = [&](int below) {
+        return Lit(static_cast<Var>(rng() % below), rng() & 1);
+    };
+    auto randomClause = [&](int len) {
+        Clause c;
+        for (int l = 0; l < len; l++)
+            c.push_back(randomLit(num_vars));
+        return c;
+    };
+    auto randomAssumptions = [&](int count) {
+        std::vector<Lit> assume;
+        for (int a = 0; a < count; a++)
+            assume.push_back(randomLit(frozen));
+        return assume;
+    };
+    int sat_answers = 0;
+    auto tally = [&](SolveResult r) {
+        ASSERT_NE(r, SolveResult::BudgetExhausted);
+        if (r == SolveResult::Sat) {
+            ASSERT_TRUE(s.checkModel());
+            sat_answers++;
+        }
+    };
+
+    for (int c = 0; c < 580; c++)
+        ASSERT_TRUE(s.addClause(randomClause(3)));
+    for (int c = 0; c < 40; c++)
+        ASSERT_TRUE(s.addClause(randomClause(6)));
+    tally(s.solve());
+
+    // A retractable layer enumerated to exhaustion over the frozen
+    // variables, the way the synthesizer enumerates tests.
+    Group g = s.newGroup();
+    for (int c = 0; c < 60; c++)
+        ASSERT_TRUE(s.addClause(g, randomClause(4)));
+    int models = 0;
+    while (models < 40 && s.solve({s.groupLit(g)}) == SolveResult::Sat) {
+        ASSERT_TRUE(s.checkModel());
+        models++;
+        Clause blocking;
+        for (Var v = 0; v < frozen; v++)
+            blocking.push_back(Lit(v, s.modelValue(v)));
+        ASSERT_TRUE(s.addClause(g, blocking));
+    }
+    s.release(g);
+
+    for (int i = 0; i < 30; i++)
+        tally(s.solve(randomAssumptions(4)));
+    ASSERT_TRUE(s.simplify());
+    for (int i = 0; i < 30; i++)
+        tally(s.solve(randomAssumptions(3)));
+    s.reduceLearnedClauses();
+    for (int i = 0; i < 10; i++)
+        tally(s.solve(randomAssumptions(2)));
+
+    const SolverStats &st = s.stats();
+    EXPECT_EQ(models, 40);
+    EXPECT_EQ(sat_answers, 63);
+    EXPECT_EQ(st.conflicts, 9744u);
+    EXPECT_EQ(st.decisions, 14206u);
+    EXPECT_EQ(st.propagations, 331643u);
+    EXPECT_EQ(st.learnedClauses, 9744u);
+    EXPECT_EQ(st.deletedClauses, 8588u);
+    EXPECT_EQ(st.reduceCalls, 7u);
+    EXPECT_EQ(st.eliminatedVars, 5u);
+    EXPECT_EQ(st.keptLevels, 2u);
+}
+
+TEST(SolverTest, ArenaCompactsAfterReleasedLayers)
+{
+    // A resident solver retires a clause layer per query. Released
+    // clauses must not pin arena words forever: after each release the
+    // arena stays within a constant factor of what is still live, and
+    // every answer along the way agrees with brute force.
+    std::mt19937 rng(77);
+    const int num_vars = 10;
+    Solver s;
+    for (int v = 0; v < num_vars; v++)
+        s.newVar();
+    std::vector<Clause> base;
+    for (int c = 0; c < 8; c++) {
+        Clause clause;
+        for (int l = 0; l < 3; l++)
+            clause.push_back(
+                Lit(static_cast<Var>(rng() % num_vars), rng() & 1));
+        base.push_back(clause);
+        ASSERT_TRUE(s.addClause(clause));
+    }
+    auto liveWords = [&] {
+        // Header plus literals, two to a word, per stored clause (units
+        // live on the trail, not in the arena).
+        size_t words = 0;
+        for (const Clause &c : s.liveClauses(true)) {
+            if (c.size() >= 2)
+                words += 3 + (c.size() + 1) / 2;
+        }
+        return words;
+    };
+
+    int sat_answers = 0;
+    int unsat_answers = 0;
+    for (int round = 0; round < 200; round++) {
+        Group g = s.newGroup();
+        std::vector<Clause> cnf = base;
+        int clauses = 10 + static_cast<int>(rng() % 40);
+        for (int c = 0; c < clauses; c++) {
+            int len = 2 + static_cast<int>(rng() % 7);
+            Clause clause;
+            for (int l = 0; l < len; l++)
+                clause.push_back(
+                    Lit(static_cast<Var>(rng() % num_vars), rng() & 1));
+            cnf.push_back(clause);
+            ASSERT_TRUE(s.addClause(g, clause));
+        }
+        bool want = bruteForceSat(cnf, num_vars);
+        SolveResult got = s.solve({s.groupLit(g)});
+        ASSERT_EQ(got == SolveResult::Sat, want) << "round " << round;
+        if (want) {
+            ASSERT_TRUE(s.checkModel());
+            uint32_t assignment = 0;
+            for (int v = 0; v < num_vars; v++) {
+                if (s.modelValue(static_cast<Var>(v)))
+                    assignment |= uint32_t(1) << v;
+            }
+            ASSERT_TRUE(evaluate(cnf, assignment)) << "round " << round;
+            sat_answers++;
+        } else {
+            unsat_answers++;
+        }
+        s.release(g);
+        ASSERT_LE(s.arenaWords(), 2 * liveWords() + 16) << "round " << round;
+    }
+    EXPECT_GT(sat_answers, 20);
+    EXPECT_GT(unsat_answers, 20);
+    EXPECT_GT(s.stats().arenaCompactions, 0u);
+    // Permanent clauses and base-derived learnts are all that is left.
+    EXPECT_EQ(s.solve(), bruteForceSat(base, num_vars) ? SolveResult::Sat
+                                                       : SolveResult::Unsat);
+}
+
 TEST(LitTest, EncodingRoundTrips)
 {
     Lit p = Lit::pos(7);

@@ -12,7 +12,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 
+#include "common/hash.hh"
 #include "litmus/canon.hh"
 #include "mm/registry.hh"
 #include "sat/dimacs.hh"
@@ -118,6 +120,39 @@ TEST_F(ProofTest, ProofsCheckUnderParallelJobs)
     opt.proofDir = dir.string();
     synthesizeAll(*model, opt);
     EXPECT_EQ(checkAllProofs(), 2u);
+}
+
+TEST_F(ProofTest, ProofBytesArePinned)
+{
+    // A proof logs every clause the search adds, learns and deletes, so
+    // its bytes pin the search itself: a change to the solver's clause
+    // store that kept the suite but moved a conflict would show here.
+    // The same bytes come out at every job count.
+    const std::map<std::string, uint64_t> pinned = {
+        {"tso.n2.drat", 0xca98a2b5631d314cULL},
+        {"tso.n3.drat", 0xd85e53efadf8374dULL},
+        {"tso.n4.drat", 0x63e613ec88dbe3ecULL},
+    };
+    auto model = mm::makeModel("tso");
+    for (int jobs : {1, 4}) {
+        SynthOptions opt;
+        opt.minSize = 2;
+        opt.maxSize = 4;
+        opt.jobs = jobs;
+        opt.proofDir = (dir / ("jobs" + std::to_string(jobs))).string();
+        fs::create_directories(opt.proofDir);
+        synthesizeAll(*model, opt);
+        for (const auto &[name, digest] : pinned) {
+            std::ifstream in(fs::path(opt.proofDir) / name,
+                             std::ios::binary);
+            ASSERT_TRUE(in) << name << " (jobs=" << jobs << ")";
+            std::string bytes((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+            EXPECT_EQ(hashCombine(hashInit(), bytes), digest)
+                << name << " (jobs=" << jobs << ", " << bytes.size()
+                << " bytes)";
+        }
+    }
 }
 
 TEST_F(ProofTest, ProofKnobsAreEngineKnobs)
