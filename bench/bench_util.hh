@@ -8,6 +8,7 @@
 #ifndef LTS_BENCH_BENCH_UTIL_HH
 #define LTS_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -144,7 +145,6 @@ struct ModeRun
     double wallSeconds = 0;
     double cpuSeconds = 0;
     uint64_t jobsQueued = 0;
-    uint64_t jobsDone = 0;
     uint64_t conflicts = 0;
     uint64_t restarts = 0;
     uint64_t instances = 0;     ///< SAT models enumerated (rawInstances)
@@ -194,9 +194,8 @@ modeName(const synth::SynthOptions &opt)
 
 /**
  * The BENCH_*.json record of one service query run under @p opt:
- * solver work from the SuiteResult's SynthProgress snapshot (not live
- * atomics), per-size counts from its union suite (the one axiom's suite
- * for an axiom-scoped query).
+ * solver work from the SuiteResult's counters, per-size counts from
+ * its union suite (the one axiom's suite for an axiom-scoped query).
  */
 inline ModeRun
 modeRun(const synth::SuiteResult &result, const synth::SynthOptions &opt,
@@ -211,7 +210,6 @@ modeRun(const synth::SuiteResult &result, const synth::SynthOptions &opt,
     run.wallSeconds = wall_seconds;
     run.cpuSeconds = aggregateCpuSeconds(result.suites);
     run.jobsQueued = progress.jobsQueued;
-    run.jobsDone = progress.jobsDone;
     run.conflicts = progress.conflicts;
     run.restarts = progress.restarts;
     run.instances = progress.instances;
@@ -247,10 +245,12 @@ measureMode(const mm::Model &model, synth::SynthOptions opt, bool sbp = true,
 inline void
 printModeRun(const ModeRun &run, int jobs)
 {
-    std::printf("%s engine: %u worker(s); %llu/%llu jobs done; "
+    // runSizeJobs starts at most one worker per size job.
+    std::printf("%s engine: %llu worker(s); %llu jobs; "
                 "%llu SAT conflicts; %llu instances enumerated\n",
-                run.mode.c_str(), ThreadPool::resolveThreads(jobs),
-                static_cast<unsigned long long>(run.jobsDone),
+                run.mode.c_str(),
+                static_cast<unsigned long long>(std::min<uint64_t>(
+                    ThreadPool::resolveThreads(jobs), run.jobsQueued)),
                 static_cast<unsigned long long>(run.jobsQueued),
                 static_cast<unsigned long long>(run.conflicts),
                 static_cast<unsigned long long>(run.instances));

@@ -5,10 +5,11 @@
  * runDaemon() serves SuiteRequests over a unix-domain socket using the
  * frame protocol of store/wire.hh: per request the server streams zero
  * or more Progress frames and ends with exactly one Result (a
- * serialized SuiteResult) or Error frame. The daemon owns a Service
- * configured with resident base encodings, so repeat queries hit the
- * store and model-edit queries re-synthesize only the changed shards on
- * already-built encodings.
+ * serialized SuiteResult) or Error frame. The daemon owns a Service in
+ * daemon mode (resident models and results), so repeat queries hit
+ * memory or the store and model-edit queries re-synthesize only the
+ * changed shards. Each size job frees its solver when it ends, so a
+ * request's memory is released once it is answered.
  *
  * Everything is callable in-process (the integration tests run the
  * server on a std::thread and the client on the test thread);

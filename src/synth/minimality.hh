@@ -39,8 +39,8 @@ rel::FormulaPtr minimalityFormula(const mm::Model &model,
 /**
  * The axiom-independent part of the criterion: well-formed ∧ every
  * applicable relaxation admits. This is the bulk of the encoding and is
- * shared by all axioms at a given size, so the synthesizer's
- * BaseEncoding asserts it once per size as a base fact and layers
+ * shared by all axioms at a given size, so each of the synthesizer's
+ * size jobs asserts it once as a base fact and layers
  * per-axiom violations (axiomViolation) over it as retractable facts.
  */
 rel::FormulaPtr minimalityBase(const mm::Model &model, size_t n);

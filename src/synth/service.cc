@@ -402,6 +402,13 @@ parseSuiteRequest(const std::string &text)
     SynthOptions &o = request.options;
     o.maxSize = request.maxSize;
     o.minSize = r.i32("minsize");
+    // A request's sizes set its cost, which grows steeply with the
+    // bound; the paper's largest bound is 7.
+    if (o.minSize < 0 || o.minSize > o.maxSize || o.maxSize > 7) {
+        throw std::runtime_error(
+            "service: sizes " + std::to_string(o.minSize) + ".." +
+            std::to_string(o.maxSize) + " not within 0 <= min <= max <= 7");
+    }
     std::string canon = r.field("canon");
     o.useCanon = canon != "off";
     o.canonMode = canon == "exact" ? litmus::CanonMode::Exact
@@ -430,10 +437,9 @@ serializeSuiteResult(const SuiteResult &result)
     std::snprintf(secs, sizeof secs, "%.6f", result.seconds);
     out << "seconds " << secs << "\n";
     const SynthProgressSnapshot &p = result.progress;
-    out << "progress " << p.jobsQueued << " " << p.jobsRunning << " "
-        << p.jobsDone << " " << p.conflicts << " " << p.restarts << " "
-        << p.instances << " " << p.sbpClauses << " " << p.eliminatedVars
-        << " " << p.subsumedClauses << "\n";
+    out << "progress " << p.jobsQueued << " " << p.conflicts << " "
+        << p.restarts << " " << p.instances << " " << p.sbpClauses << " "
+        << p.eliminatedVars << " " << p.subsumedClauses << "\n";
     out << "provenance " << result.shards.size() << "\n";
     for (const auto &s : result.shards) {
         out << "shard " << s.size << " " << (s.cached ? 1 : 0) << " "
@@ -467,9 +473,9 @@ parseSuiteResult(const std::string &text)
     {
         std::istringstream line(r.field("progress"));
         SynthProgressSnapshot &p = result.progress;
-        if (!(line >> p.jobsQueued >> p.jobsRunning >> p.jobsDone >>
-              p.conflicts >> p.restarts >> p.instances >> p.sbpClauses >>
-              p.eliminatedVars >> p.subsumedClauses)) {
+        if (!(line >> p.jobsQueued >> p.conflicts >> p.restarts >>
+              p.instances >> p.sbpClauses >> p.eliminatedVars >>
+              p.subsumedClauses)) {
             throw std::runtime_error("service: bad progress line");
         }
     }
@@ -529,11 +535,9 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                const QueryProgressFn &on_progress)
 {
     Timer wall;
-    progress.reset();
 
     SynthOptions options = request.options;
     options.maxSize = request.maxSize;
-    options.progress = &progress;
     if (options.minSize > options.maxSize)
         throw std::invalid_argument("service: minSize > maxSize");
 
@@ -581,7 +585,7 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                 shard.cached = true;
             served.shardsCached = served.shards.size();
             served.shardsSynthesized = 0;
-            served.progress = progress.snapshot(); // all zero: no work
+            served.progress = SynthProgressSnapshot(); // no work
             served.seconds = wall.seconds();
             emit("suite " + served.suiteDigest + ": resident hit (" +
                  std::to_string(served.unionSuite().tests.size()) +
@@ -593,22 +597,14 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
     // 1. Keys: the [axiom][size] grid of shard keys. A usable manifest
     //    supplies it as stored, so a warm query renders no formula;
     //    otherwise each size's base formula and each (axiom, size)
-    //    violation is rendered once. Base digests are also the daemon's
-    //    encoding keys, rendered on first use and then reused.
-    std::vector<std::string> base_digests(n_sizes);
-    auto base_digest = [&](size_t si) -> const std::string & {
-        if (base_digests[si].empty()) {
-            base_digests[si] =
-                baseFormulaDigest(model, min_size + static_cast<int>(si));
-        }
-        return base_digests[si];
-    };
+    //    violation is rendered once.
     auto render_keys = [&] {
         KeyGrid keys(axioms.size());
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            for (size_t si = 0; si < n_sizes; si++) {
-                int size = min_size + static_cast<int>(si);
-                keys[ai].push_back("shard/" + base_digest(si) + "/" +
+        for (size_t si = 0; si < n_sizes; si++) {
+            int size = min_size + static_cast<int>(si);
+            std::string base = baseFormulaDigest(model, size);
+            for (size_t ai = 0; ai < axioms.size(); ai++) {
+                keys[ai].push_back("shard/" + base + "/" +
                                    violationDigest(model, axioms[ai], size) +
                                    "/" + result.optionsDigest + "/n" +
                                    std::to_string(size));
@@ -653,42 +649,19 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
         }
 
         // One job per size with a miss, sweeping that size's missing
-        // axioms in scope order. Daemon mode lends each job its resident
-        // encoding, if it has one, and keeps the job's encoding
-        // afterwards; one-shot jobs free theirs as they finish. A
-        // resident solver outlives any one request, so one proof file
-        // could not delimit a request's claims: resident encodings are
-        // built proof-less.
-        SynthOptions job_options = options;
-        if (config.residentEncodings)
-            job_options.proofDir.clear();
-        auto encoding_key = [&](size_t si) {
-            return base_digest(si) + "/" + result.optionsDigest;
-        };
+        // axioms in scope order.
         std::vector<SizeJob> jobs;
         for (size_t si = 0; si < n_sizes; si++) {
             SizeJob job;
             job.size = min_size + static_cast<int>(si);
-            job.keepEncoding = config.residentEncodings;
             for (size_t ai = 0; ai < axioms.size(); ai++) {
                 if (!from_store[ai][si])
                     job.tracks.push_back(axiomTrack(model, axioms[ai]));
             }
-            if (job.tracks.empty())
-                continue;
-            if (config.residentEncodings) {
-                auto it = encodings.find(encoding_key(si));
-                if (it != encodings.end()) {
-                    job.encoding = std::move(it->second);
-                    encodings.erase(it);
-                }
-                emit("size " + std::to_string(job.size) +
-                     (job.encoding ? ": base encoding resident"
-                                   : ": building base encoding"));
-            }
-            jobs.push_back(std::move(job));
+            if (!job.tracks.empty())
+                jobs.push_back(std::move(job));
         }
-        runSizeJobs(model, jobs, job_options);
+        result.progress += runSizeJobs(model, jobs, options);
         for (SizeJob &job : jobs) {
             size_t si = static_cast<size_t>(job.size - min_size);
             size_t k = 0;
@@ -700,8 +673,6 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                      ": synthesized, " +
                      std::to_string(shards[ai][si].tests.size()) + " tests");
             }
-            if (config.residentEncodings)
-                encodings[encoding_key(si)] = std::move(job.encoding);
         }
 
         // Per-axiom suites in scope order, plus the union for full-scope
@@ -745,9 +716,8 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                 result.shardsSynthesized++;
                 // A freshly synthesized shard's conclusion landed in its
                 // size's proof file; pin that file's content digest into
-                // the provenance. Cached shards ran no solver, and
-                // resident encodings are proof-less.
-                if (!options.proofDir.empty() && !config.residentEncodings) {
+                // the provenance. Cached shards ran no solver.
+                if (!options.proofDir.empty()) {
                     prov.proofDigest = proofFileDigest(
                         proofFilePath(options, model.name(), prov.size));
                 }
@@ -780,7 +750,6 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
     }
 
     // 5. Daemon mode keeps the answer resident for the next repeat.
-    result.progress = progress.snapshot();
     result.seconds = wall.seconds();
     if (config.residentEncodings)
         resultCache[manifest_key] = result;

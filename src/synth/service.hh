@@ -4,7 +4,7 @@
  *
  * A SuiteRequest names a model (by registry name), a size bound, and
  * the SynthOptions; a SuiteResult carries the synthesized per-axiom
- * suites plus their union, stable digests, a SynthProgress snapshot,
+ * suites plus their union, stable digests, the solver work counters,
  * and cache provenance. ltsgen, the benches, the ltsd daemon, and the
  * tests all call Service::query — there is no second path into
  * synthesis, so caching and byte-identity guarantees hold everywhere.
@@ -75,7 +75,7 @@ struct SuiteRequest
 {
     std::string model;   ///< registry name (mm::makeModel)
     int maxSize = 4;     ///< size bound; overrides options.maxSize
-    SynthOptions options; ///< options.progress is ignored (service-owned)
+    SynthOptions options;
 
     /**
      * Restrict to one axiom ("" or "union" = all axioms plus the union
@@ -126,8 +126,8 @@ struct SuiteResult
     std::string optionsDigest; ///< semantic-options digest
     std::string suiteDigest;   ///< litmus::suiteDigest of suites.back()
 
-    /** Final snapshot of this query's progress counters. A pure cache
-     *  hit has jobsQueued == 0 — no solver ran. */
+    /** The solver work this query did (runSizeJobs' counters). A pure
+     *  cache hit has jobsQueued == 0 — no solver ran. */
     SynthProgressSnapshot progress;
 
     CacheOutcome cache = CacheOutcome::Miss;
@@ -153,20 +153,19 @@ struct ServiceConfig
     std::string storeDir;
 
     /**
-     * Keep per-(base formula, size) encodings resident between queries
-     * — the daemon mode. Misses run through runSizeJobs either way,
-     * honoring the engine knobs (jobs, simplify, sbp) exactly as
-     * synthesizeAll would; the daemon lends each size job its resident
-     * encoding and keeps the encoding afterwards, while the one-shot
-     * CLI mode drops it. Suite bytes and progress counters are
-     * identical either way; resident encodings are built proof-less.
+     * The daemon mode: keep registry models and assembled results
+     * resident between queries, so a repeat query costs map lookups.
+     * Misses run through runSizeJobs either way, honoring the engine
+     * knobs (jobs, simplify, sbp, proofs) exactly as synthesizeAll
+     * would, and each size job frees its solver when it ends. Suite
+     * bytes and counters are identical either way.
      */
     bool residentEncodings = false;
 };
 
 /**
- * The synthesis service: a suite store (optional) plus a cache of
- * resident BaseEncodings (optional). A query synthesizes its missing
+ * The synthesis service: a suite store (optional) plus resident models
+ * and results (daemon mode). A query synthesizes its missing
  * shards in one runSizeJobs call — one job per size, on SynthOptions::
  * jobs threads — and streams progress lines from the caller thread.
  * One instance per daemon or CLI invocation; not thread-safe — callers
@@ -192,14 +191,9 @@ class Service
     /** The backing store, or nullptr when running without persistence. */
     store::SuiteStore *store() { return suiteStore.get(); }
 
-    /** Number of resident base encodings currently held. */
-    size_t residentEncodings() const { return encodings.size(); }
-
   private:
     ServiceConfig config;
     std::unique_ptr<store::SuiteStore> suiteStore;
-    SynthProgress progress;
-    std::map<std::string, std::unique_ptr<BaseEncoding>> encodings;
     /// Daemon mode only: registry models kept resident across requests,
     /// so their memoized digests make repeat-query keying cheap.
     std::map<std::string, std::unique_ptr<mm::Model>> models;

@@ -27,29 +27,6 @@ using litmus::LitmusTest;
 namespace
 {
 
-/**
- * Fold the SAT work a solver did since @p last into the shared progress
- * totals, then advance @p last to @p now.
- */
-void
-accumulateSolverStats(SynthProgress *progress, const sat::SolverStats &now,
-                      sat::SolverStats &last)
-{
-    if (progress) {
-        progress->conflicts.fetch_add(now.conflicts - last.conflicts,
-                                      std::memory_order_relaxed);
-        progress->restarts.fetch_add(now.restarts - last.restarts,
-                                     std::memory_order_relaxed);
-        progress->eliminatedVars.fetch_add(
-            now.eliminatedVars - last.eliminatedVars,
-            std::memory_order_relaxed);
-        progress->subsumedClauses.fetch_add(
-            now.subsumedClauses - last.subsumedClauses,
-            std::memory_order_relaxed);
-    }
-    last = now;
-}
-
 /** Is each workgroup a contiguous run of thread ids? permuteThreads
  * relabels workgroups by first use, so contiguity means a label never
  * reappears after a different label took over. Only contiguous
@@ -106,9 +83,9 @@ validArrangements(const LitmusTest &test, bool by_full_key)
 /**
  * Enumerate one track at one size on a prepared solver. The track's
  * violation layer must already be live over the base encoding (see
- * BaseEncoding::sweep). Blocking clauses go into a
- * fresh layer owned by this call, so witness-resolution solves — which
- * activate only @p witness_layers on top of the base facts — never see
+ * runSizeJob). Blocking clauses go into a fresh layer owned by this
+ * call, so witness-resolution solves — which activate only
+ * @p witness_layers on top of the base facts — never see
  * them (a pinned representative's static part is typically itself a
  * blocked image). @p sbp_active says a symmetry-breaking layer is live:
  * enumeration then sees one model per isomorphism class, and this
@@ -303,10 +280,6 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
     for (auto &kv : byKey)
         result.tests.push_back(std::move(kv.second.second));
 
-    if (options.progress) {
-        options.progress->instances.fetch_add(result.rawInstances,
-                                              std::memory_order_relaxed);
-    }
     result.seconds = timer.seconds();
     return result;
 }
@@ -328,119 +301,102 @@ installSymmetryBreaking(const mm::Model &model, rel::RelSolver &solver,
     rel::SymmetryStats stats;
     solver.addSymmetryBreaking(spec, &stats);
     clauses_out = stats.clauses;
-    if (options.progress) {
-        options.progress->sbpClauses.fetch_add(stats.clauses,
-                                               std::memory_order_relaxed);
-    }
     return true;
 }
 
-} // namespace
-
-// --- BaseEncoding: one size's encoding, swept axiom by axiom ---------------
-
-struct BaseEncoding::Impl
+/**
+ * One size job, start to finish (see runSizeJobs): build the size's
+ * encoding, sweep the job's tracks over it, and return the solver's
+ * work. The solver and its proof writer die on return.
+ */
+SynthProgressSnapshot
+runSizeJob(const mm::Model &model, SizeJob &job, const SynthOptions &options)
 {
-    Impl(const mm::Model &model, int size, const SynthOptions &options)
-        : solver(model.vocab(), static_cast<size_t>(size))
-    {
-        size_t n = static_cast<size_t>(size);
-        if (!options.proofDir.empty()) {
-            proof = std::make_unique<sat::DratWriter>(
-                proofFilePath(options, model.name(), size));
-            solver.setProof(proof.get());
-        }
-        solver.addBaseFact(minimalityBase(model, n));
-        if (options.simplify)
-            solver.simplifyBase();
-        sbpActive =
-            installSymmetryBreaking(model, solver, n, options, sbpClauses);
-        if (options.blockStaticOnly)
-            blockVars = model.staticVarIds();
-    }
-
+    size_t n = static_cast<size_t>(job.size);
     // Declared before the solver so the writer outlives it.
     std::unique_ptr<sat::DratWriter> proof;
-    rel::RelSolver solver;
-    bool sbpActive = false;
-    uint64_t sbpClauses = 0; ///< SBP clauses not yet attributed to a shard
-    std::vector<int> blockVars;
-    /// Solver counters already reported. Zero until the first sweep, so
-    /// that sweep also reports the construction-time work (simplify).
-    sat::SolverStats reported;
-};
+    rel::RelSolver solver(model.vocab(), n);
+    if (!options.proofDir.empty()) {
+        proof = std::make_unique<sat::DratWriter>(
+            proofFilePath(options, model.name(), job.size));
+        solver.setProof(proof.get());
+    }
+    solver.addBaseFact(minimalityBase(model, n));
+    if (options.simplify)
+        solver.simplifyBase();
+    SynthProgressSnapshot counters;
+    counters.jobsQueued = 1;
+    bool sbp_active = installSymmetryBreaking(model, solver, n, options,
+                                              counters.sbpClauses);
+    std::vector<int> block_vars;
+    if (options.blockStaticOnly)
+        block_vars = model.staticVarIds();
 
-BaseEncoding::BaseEncoding(const mm::Model &model, int size,
-                           const SynthOptions &options)
-    : impl(std::make_unique<Impl>(model, size, options))
-{
-}
-
-BaseEncoding::~BaseEncoding() = default;
-
-std::vector<ShardResult>
-BaseEncoding::sweep(const mm::Model &model, const std::vector<Track> &tracks,
-                    const SynthOptions &options)
-{
-    SynthProgress *progress = options.progress;
-    if (progress)
-        progress->jobsRunning.fetch_add(1, std::memory_order_relaxed);
-    rel::RelSolver &solver = impl->solver;
-    size_t n = solver.encoder().universe();
-    std::vector<ShardResult> out;
-    out.reserve(tracks.size());
-    for (const Track &track : tracks) {
+    job.shards.clear();
+    job.shards.reserve(job.tracks.size());
+    for (const Track &track : job.tracks) {
         rel::FactHandle layer = solver.addFact(track.layerFor(n));
         if (options.conflictBudget) {
             // Re-arm: the budget bounds each (axiom, size) query family,
             // not the lifetime of the shared solver.
             solver.satSolver().setConflictBudget(options.conflictBudget);
         }
-        out.push_back(enumerateTrack(model, solver, track.label,
-                                     impl->blockVars, {layer},
-                                     impl->sbpActive, options));
+        ShardResult &shard = job.shards.emplace_back(
+            enumerateTrack(model, solver, track.label, block_vars, {layer},
+                           sbp_active, options));
         // The SBP layer is shared by every shard on this solver; its
         // clauses are counted once, by the first shard swept.
-        out.back().sbpClauses = impl->sbpClauses;
-        impl->sbpClauses = 0;
+        if (job.shards.size() == 1)
+            shard.sbpClauses = counters.sbpClauses;
+        counters.instances += shard.rawInstances;
         solver.retract(layer);
     }
-    accumulateSolverStats(progress, solver.satSolver().stats(),
-                          impl->reported);
-    if (progress) {
-        progress->jobsRunning.fetch_sub(1, std::memory_order_relaxed);
-        progress->jobsDone.fetch_add(1, std::memory_order_relaxed);
-    }
-    return out;
+    const sat::SolverStats &stats = solver.satSolver().stats();
+    counters.conflicts = stats.conflicts;
+    counters.restarts = stats.restarts;
+    counters.eliminatedVars = stats.eliminatedVars;
+    counters.subsumedClauses = stats.subsumedClauses;
+    return counters;
 }
 
-void
+} // namespace
+
+SynthProgressSnapshot &
+SynthProgressSnapshot::operator+=(const SynthProgressSnapshot &other)
+{
+    jobsQueued += other.jobsQueued;
+    conflicts += other.conflicts;
+    restarts += other.restarts;
+    instances += other.instances;
+    sbpClauses += other.sbpClauses;
+    eliminatedVars += other.eliminatedVars;
+    subsumedClauses += other.subsumedClauses;
+    return *this;
+}
+
+SynthProgressSnapshot
 runSizeJobs(const mm::Model &model, std::vector<SizeJob> &jobs,
             const SynthOptions &options)
 {
-    if (options.progress) {
-        options.progress->jobsQueued.fetch_add(jobs.size(),
-                                               std::memory_order_relaxed);
-    }
-    auto run = [&model, &options](SizeJob &job) {
-        if (!job.encoding) {
-            job.encoding =
-                std::make_unique<BaseEncoding>(model, job.size, options);
+    std::vector<SynthProgressSnapshot> counters(jobs.size());
+    unsigned threads = static_cast<unsigned>(std::min<size_t>(
+        ThreadPool::resolveThreads(options.jobs), jobs.size()));
+    if (threads <= 1) {
+        for (size_t i = 0; i < jobs.size(); i++)
+            counters[i] = runSizeJob(model, jobs[i], options);
+    } else {
+        ThreadPool pool(threads);
+        for (size_t i = 0; i < jobs.size(); i++) {
+            pool.submit([&, i] {
+                counters[i] = runSizeJob(model, jobs[i], options);
+            });
         }
-        job.shards = job.encoding->sweep(model, job.tracks, options);
-        if (!job.keepEncoding)
-            job.encoding.reset();
-    };
-    unsigned threads = ThreadPool::resolveThreads(options.jobs);
-    if (options.jobs == 1 || threads <= 1 || jobs.size() <= 1) {
-        for (SizeJob &job : jobs)
-            run(job);
-        return;
+        pool.wait();
     }
-    ThreadPool pool(threads);
-    for (SizeJob &job : jobs)
-        pool.submit([&run, &job] { run(job); });
-    pool.wait();
+    SynthProgressSnapshot total;
+    for (const SynthProgressSnapshot &c : counters)
+        total += c;
+    return total;
 }
 
 namespace
@@ -549,36 +505,6 @@ synthesizeAll(const mm::Model &model, const SynthOptions &options)
         runSynthesisTracks(model, allAxiomTracks(model), options);
     suites.push_back(unionSuites(suites, options));
     return suites;
-}
-
-SynthProgressSnapshot
-SynthProgress::snapshot() const
-{
-    SynthProgressSnapshot s;
-    s.jobsQueued = jobsQueued.load(std::memory_order_relaxed);
-    s.jobsRunning = jobsRunning.load(std::memory_order_relaxed);
-    s.jobsDone = jobsDone.load(std::memory_order_relaxed);
-    s.conflicts = conflicts.load(std::memory_order_relaxed);
-    s.restarts = restarts.load(std::memory_order_relaxed);
-    s.instances = instances.load(std::memory_order_relaxed);
-    s.sbpClauses = sbpClauses.load(std::memory_order_relaxed);
-    s.eliminatedVars = eliminatedVars.load(std::memory_order_relaxed);
-    s.subsumedClauses = subsumedClauses.load(std::memory_order_relaxed);
-    return s;
-}
-
-void
-SynthProgress::reset()
-{
-    jobsQueued.store(0, std::memory_order_relaxed);
-    jobsRunning.store(0, std::memory_order_relaxed);
-    jobsDone.store(0, std::memory_order_relaxed);
-    conflicts.store(0, std::memory_order_relaxed);
-    restarts.store(0, std::memory_order_relaxed);
-    instances.store(0, std::memory_order_relaxed);
-    sbpClauses.store(0, std::memory_order_relaxed);
-    eliminatedVars.store(0, std::memory_order_relaxed);
-    subsumedClauses.store(0, std::memory_order_relaxed);
 }
 
 Suite

@@ -20,28 +20,27 @@
  * symmetry and blocking layers, making the emitted bytes a pure
  * function of the class rather than of enumeration order.
  *
- * One engine: a BaseEncoding per test size. The axiom-independent part
- * of the criterion (well-formedness plus the relaxation conjunct) is
+ * One engine: one solver per test size. The axiom-independent part of
+ * the criterion (well-formedness plus the relaxation conjunct) is
  * asserted once as a base fact, simplified, and given the symmetry-
  * breaking layer; each axiom's violation is then swept over it as a
  * retractable fact layer (rel::FactHandle) whose blocking clauses and
  * learned clauses are retired when the sweep moves on. Every synthesis
  * goes through one runner, runSizeJobs: one SizeJob per size, on a
- * thread pool when SynthOptions::jobs != 1. The drivers merge results
+ * thread pool when SynthOptions::jobs != 1. A size job builds its
+ * solver, sweeps its tracks and frees the solver before it returns, so
+ * nothing outlives the run but shards and counters. Results are merged
  * in a fixed order (axiom declaration order, then size, then canonical
  * serialization), so the output is byte-identical to a serial run
- * regardless of completion order. The service's daemon mode lends the
- * runner BaseEncodings it keeps resident across requests.
+ * regardless of completion order.
  */
 
 #ifndef LTS_SYNTH_SYNTHESIZER_HH
 #define LTS_SYNTH_SYNTHESIZER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,50 +52,21 @@ namespace lts::synth
 {
 
 /**
- * A point-in-time copy of the progress counters: plain integers, safe
- * to store, compare, and serialize after the run. Drivers should copy
- * one of these (SynthProgress::snapshot) into their results instead of
- * reading the live atomics — the snapshot is immutable even if the same
- * SynthProgress is reused (reset) for a later run.
+ * The solver work of a synthesis run, as plain counters: each size job
+ * counts its own, runSizeJobs sums them after the join, and
+ * Service::query copies the sum into its SuiteResult.
  */
 struct SynthProgressSnapshot
 {
-    uint64_t jobsQueued = 0;  ///< size sweeps submitted
-    uint64_t jobsRunning = 0; ///< jobs executing at snapshot time
-    uint64_t jobsDone = 0;    ///< jobs finished
+    uint64_t jobsQueued = 0;  ///< size jobs run
     uint64_t conflicts = 0;   ///< SAT conflicts, all jobs
     uint64_t restarts = 0;    ///< SAT restarts, all jobs
     uint64_t instances = 0;   ///< SAT models enumerated
     uint64_t sbpClauses = 0;  ///< symmetry-breaking clauses emitted
     uint64_t eliminatedVars = 0;  ///< vars removed by simplify
     uint64_t subsumedClauses = 0; ///< clauses removed by simplify
-};
 
-/**
- * Live progress counters for a synthesis run. Safe to read from any
- * thread while jobs execute; a bench harness can poll these (snapshot)
- * while jobs run or copy a final snapshot into its results. Drivers
- * that reuse one SynthProgress across runs call reset() between them
- * instead of re-zeroing fields ad hoc.
- */
-struct SynthProgress
-{
-    std::atomic<uint64_t> jobsQueued{0};  ///< size sweeps submitted
-    std::atomic<uint64_t> jobsRunning{0}; ///< jobs currently executing
-    std::atomic<uint64_t> jobsDone{0};    ///< jobs finished
-    std::atomic<uint64_t> conflicts{0};   ///< SAT conflicts, all jobs
-    std::atomic<uint64_t> restarts{0};    ///< SAT restarts, all jobs
-    std::atomic<uint64_t> instances{0};   ///< SAT models enumerated
-    std::atomic<uint64_t> sbpClauses{0};  ///< symmetry-breaking clauses
-                                          ///< emitted, all solvers
-    std::atomic<uint64_t> eliminatedVars{0};  ///< vars removed by simplify
-    std::atomic<uint64_t> subsumedClauses{0}; ///< clauses removed by simplify
-
-    /** Copy every counter into a plain-integer snapshot. */
-    SynthProgressSnapshot snapshot() const;
-
-    /** Zero every counter, ready for the next run. */
-    void reset();
+    SynthProgressSnapshot &operator+=(const SynthProgressSnapshot &other);
 };
 
 /** Synthesis knobs; defaults mirror the paper's methodology. */
@@ -124,9 +94,10 @@ struct SynthOptions
 
     /**
      * Worker threads: one job per size, each sweeping its axioms over a
-     * private BaseEncoding. 1 runs jobs inline on the caller thread;
-     * 0 uses all hardware threads. Results are merged deterministically,
-     * so output is byte-identical for any value.
+     * private solver. 1 runs jobs inline on the caller thread; 0 uses
+     * all hardware threads; no more workers start than there are size
+     * jobs. Results are merged deterministically, so output is
+     * byte-identical for any value.
      */
     int jobs = 1;
 
@@ -145,11 +116,10 @@ struct SynthOptions
      * trace (see sat/drat.hh) into this directory, and each shard that
      * exhausts its enumeration records its final Unsat answer as a
      * checkable conclusion: one file per size, carrying one conclusion
-     * per swept axiom (see proofFilePath). The service's resident
-     * encodings are proof-less. Probe solves (witness re-derivation) are
-     * logged but never concluded. A proof knob is an engine knob: suites
-     * are byte-identical with logging on or off, and the store/service
-     * digests ignore it.
+     * per swept axiom (see proofFilePath). Probe solves (witness
+     * re-derivation) are logged but never concluded. A proof knob is an
+     * engine knob: suites are byte-identical with logging on or off, and
+     * the store/service digests ignore it.
      */
     std::string proofDir;
 
@@ -161,9 +131,6 @@ struct SynthOptions
      * with external solvers. Engine knob, like proofDir.
      */
     std::string dumpDimacsDir;
-
-    /** Optional live counters, updated by every job. Not owned. */
-    SynthProgress *progress = nullptr;
 };
 
 /** A synthesized suite plus bookkeeping for the runtime figures. */
@@ -228,7 +195,7 @@ Suite assembleShardSuite(const mm::Model &model, const std::string &label,
                          int min_size);
 
 /**
- * One query family to sweep over a BaseEncoding: the shard label (an
+ * One query family to sweep over a size's encoding: the shard label (an
  * axiom name, or "union-direct") and its violation layer at a size.
  */
 struct Track
@@ -240,82 +207,30 @@ struct Track
 /** The track of one axiom: axiomViolation(model, axiom_name, n). */
 Track axiomTrack(const mm::Model &model, const std::string &axiom_name);
 
-/**
- * One size's encoding, and the only way synthesis builds and sweeps
- * one. The constructor asserts the axiom-independent criterion
- * (minimalityBase) once, simplifies it, and installs symmetry breaking;
- * when options.proofDir is set it also owns the size's proof writer.
- * sweep then enumerates query families over it. runSizeJobs builds one
- * per SizeJob that arrives without one; ltsd keeps them resident across
- * requests and lends them back in, so re-synthesizing one edited
- * axiom's shard skips the encoding build entirely. Not thread-safe;
- * one solver, one caller at a time. Shard output is
- * byte-identical to a sweep on a fresh encoding (the enumeration
- * already pins class-canonical representatives, so learned state never
- * leaks into the bytes).
- *
- * No reference to the construction-time Model is retained: sweep takes
- * the model by argument, so a daemon may keep the encoding hot across
- * model *edits* as long as the edited model's minimalityBase at this
- * size renders identically (the service layer checks exactly that
- * digest before reusing one).
- */
-class BaseEncoding
-{
-  public:
-    BaseEncoding(const mm::Model &model, int size,
-                 const SynthOptions &options);
-    ~BaseEncoding();
-    BaseEncoding(const BaseEncoding &) = delete;
-    BaseEncoding &operator=(const BaseEncoding &) = delete;
-
-    /**
-     * Sweep @p tracks in order as one job: each track's layer is added
-     * as a retractable fact, enumerated, and retracted, so every
-     * track-specific clause dies with its layer and a shard's result
-     * does not depend on which others are swept. Returns one shard per
-     * track. @p model must have the same vocabulary and minimalityBase
-     * rendering as the construction-time model (it may be a different
-     * instance, e.g. after an axiom-predicate edit that set relaxedPred
-     * explicitly). Progress counters count the sweep as one job; the
-     * first sweep also reports the construction-time solver work, and
-     * the first swept shard carries the SBP clause count.
-     */
-    std::vector<ShardResult> sweep(const mm::Model &model,
-                                   const std::vector<Track> &tracks,
-                                   const SynthOptions &options);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl;
-};
-
-/**
- * One size's share of a synthesis run: the tracks to sweep at @p size
- * and the encoding to sweep them over. runSizeJobs builds the encoding
- * when the slot is empty. With keepEncoding it stays in the slot after
- * the sweep, so a caller that keeps encodings across runs (the
- * service's daemon mode) lends one in and takes it back; otherwise it
- * is freed as soon as the job ends, so a finished size's solver never
- * adds to the peak memory of the sizes still running.
- */
+/** One size's share of a synthesis run: the tracks to sweep at @p size. */
 struct SizeJob
 {
     int size = 0;
     std::vector<Track> tracks;
-    std::unique_ptr<BaseEncoding> encoding;
-    bool keepEncoding = false;
     std::vector<ShardResult> shards; ///< one per track, set by runSizeJobs
 };
 
 /**
- * Run every job — inline for options.jobs == 1 or a single job, on a
- * thread pool otherwise — each sweeping its tracks over its encoding.
- * No SAT or relational state crosses threads: a job touches only its
- * own encoding. Adds jobs.size() to options.progress->jobsQueued.
+ * Run every job — inline for options.jobs == 1 or a single job, else on
+ * a pool of at most jobs.size() workers. A job asserts the size's
+ * axiom-independent criterion (minimalityBase) once, simplifies it and
+ * installs symmetry breaking; when options.proofDir is set its solver
+ * logs to the size's proof file. It then sweeps its tracks in order,
+ * each track's layer added as a retractable fact, enumerated and
+ * retracted, so a shard's result does not depend on which others are
+ * swept; the first shard carries the SBP clause count. The solver is
+ * freed when the job ends, so a finished size never adds to the peak
+ * memory of the sizes still running. No SAT or relational state crosses
+ * threads. Returns the jobs' counters, summed after the join.
  */
-void runSizeJobs(const mm::Model &model, std::vector<SizeJob> &jobs,
-                 const SynthOptions &options);
+SynthProgressSnapshot runSizeJobs(const mm::Model &model,
+                                  std::vector<SizeJob> &jobs,
+                                  const SynthOptions &options);
 
 /** Synthesize the suite for one axiom. */
 Suite synthesizeAxiom(const mm::Model &model, const std::string &axiom_name,

@@ -176,6 +176,29 @@ TEST_F(DaemonTest, RejectsMalformedModels)
     EXPECT_NO_THROW(synth::queryDaemon(config.socketPath, request));
 }
 
+TEST_F(DaemonTest, RejectsOutOfRangeSizes)
+{
+    startDaemon();
+
+    synth::SuiteRequest request;
+    request.model = "sc";
+    request.maxSize = 9; // beyond the paper's largest bound, 7
+    try {
+        synth::queryDaemon(config.socketPath, request);
+        ADD_FAILURE() << "maxsize 9 was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("server error"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The same daemon answers an in-range request normally.
+    request.maxSize = 3;
+    synth::SuiteResult result =
+        synth::queryDaemon(config.socketPath, request);
+    EXPECT_FALSE(result.unionSuite().tests.empty());
+}
+
 TEST_F(DaemonTest, ShutdownRequestStopsTheDaemon)
 {
     startDaemon();

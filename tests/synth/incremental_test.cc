@@ -1,7 +1,7 @@
 /**
  * @file
- * Sweep-independence tests for the one synthesis engine: a size's
- * BaseEncoding sweeps every axiom over one shared solver, and the suite
+ * Sweep-independence tests for the one synthesis engine: a size job
+ * sweeps every axiom over one shared solver, and the suite
  * it produces for each axiom must be byte-identical to sweeping that
  * axiom alone on a fresh (from-scratch) encoding — learned state carried
  * between axioms may change search effort, never what is emitted. The

@@ -2,18 +2,24 @@
  * @file
  * Parallel-engine tests: the sharded synthesizer must produce
  * byte-identical suites regardless of the job count (the deterministic
- * merge guarantee), and unionSuites must store canonicalized, renamed
- * tests (regression for the dedup-key/raw-test mismatch).
+ * merge guarantee), the runner's counters and worker cap, and
+ * unionSuites must store canonicalized, renamed tests (regression for
+ * the dedup-key/raw-test mismatch).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "litmus/canon.hh"
 #include "litmus/test.hh"
 #include "mm/registry.hh"
+#include "synth/minimality.hh"
 #include "synth/synthesizer.hh"
 
 namespace lts::synth
@@ -75,45 +81,84 @@ TEST(ParallelSynthesisTest, SingleAxiomJobCountDoesNotChangeOutput)
 
 TEST(ParallelSynthesisTest, ProgressCountersCoverEveryJob)
 {
+    // runSizeJobs returns the sum of its jobs' counters: one job per
+    // size, each job's instances its shards' raw instances.
     auto tso = mm::makeModel("tso");
-    SynthProgress progress;
     SynthOptions opt;
+    opt.jobs = 4;
+    std::vector<SizeJob> jobs(2);
+    for (int i = 0; i < 2; i++) {
+        jobs[i].size = 2 + i;
+        for (const auto &axiom : tso->axioms())
+            jobs[i].tracks.push_back(axiomTrack(*tso, axiom.name));
+    }
+    SynthProgressSnapshot counters = runSizeJobs(*tso, jobs, opt);
+    EXPECT_EQ(counters.jobsQueued, 2u);
+    uint64_t raw = 0;
+    for (const SizeJob &job : jobs) {
+        EXPECT_EQ(job.shards.size(), tso->axioms().size());
+        for (const ShardResult &shard : job.shards)
+            raw += shard.rawInstances;
+    }
+    EXPECT_GT(raw, 0u);
+    EXPECT_EQ(counters.instances, raw);
+    EXPECT_GT(counters.conflicts, 0u);
+
+    // The same sizes through synthesizeAll enumerate the same models.
     opt.minSize = 2;
     opt.maxSize = 3;
-    opt.jobs = 4;
-    opt.progress = &progress;
-    auto suites = synthesizeAll(*tso, opt);
-    // Incremental engine: one shared-solver job per size.
-    EXPECT_EQ(progress.jobsQueued.load(), 2u);
-    EXPECT_EQ(progress.jobsDone.load(), 2u);
-    EXPECT_EQ(progress.jobsRunning.load(), 0u);
-    uint64_t raw = 0;
-    for (const auto &s : suites) {
+    uint64_t suite_raw = 0;
+    for (const auto &s : synthesizeAll(*tso, opt)) {
         if (s.axiom != "union")
-            raw += s.rawInstances;
+            suite_raw += s.rawInstances;
     }
-    EXPECT_EQ(progress.instances.load(), raw);
+    EXPECT_EQ(suite_raw, raw);
 
-    // The job count follows the sizes swept, not the axioms: one axiom
-    // still costs one job per size, and a single size-3 SizeJob
-    // carrying every axiom queues exactly one job.
-    SynthProgress one_axiom;
-    opt.progress = &one_axiom;
-    synthesizeAxiom(*tso, "causality", opt);
-    EXPECT_EQ(one_axiom.jobsQueued.load(), 2u);
-    EXPECT_EQ(one_axiom.jobsDone.load(), 2u);
+    // A single size-3 SizeJob carrying every axiom counts one job.
+    std::vector<SizeJob> one_size(1);
+    one_size[0].size = 3;
+    one_size[0].tracks = jobs[1].tracks;
+    EXPECT_EQ(runSizeJobs(*tso, one_size, opt).jobsQueued, 1u);
+    EXPECT_EQ(one_size[0].shards.size(), tso->axioms().size());
+}
 
-    SynthProgress one_size;
-    opt.progress = &one_size;
-    std::vector<SizeJob> jobs(1);
-    jobs[0].size = 3;
-    for (const auto &axiom : tso->axioms())
-        jobs[0].tracks.push_back(axiomTrack(*tso, axiom.name));
+/** The "Threads:" count of /proc/self/status, or 0 if unreadable. */
+int
+osThreadCount()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return std::atoi(line.c_str() + 8);
+    }
+    return 0;
+}
+
+TEST(ParallelSynthesisTest, PoolStartsAtMostOneWorkerPerJob)
+{
+    // A wire request can ask for any job count; the pool must not start
+    // more workers than there are size jobs to run.
+    int baseline = osThreadCount();
+    ASSERT_GT(baseline, 0);
+    auto tso = mm::makeModel("tso");
+    const std::string axiom = tso->axioms().front().name;
+    std::mutex mu;
+    int seen = 0;
+    Track probe{axiom, [&](size_t n) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    seen = std::max(seen, osThreadCount());
+                    return axiomViolation(*tso, axiom, n);
+                }};
+    std::vector<SizeJob> jobs(2);
+    jobs[0].size = 2;
+    jobs[1].size = 3;
+    jobs[0].tracks = jobs[1].tracks = {probe};
+    SynthOptions opt;
+    opt.jobs = 64;
     runSizeJobs(*tso, jobs, opt);
-    EXPECT_EQ(jobs[0].shards.size(), tso->axioms().size());
-    EXPECT_EQ(one_size.jobsQueued.load(), 1u);
-    EXPECT_EQ(one_size.jobsDone.load(), 1u);
-    EXPECT_EQ(one_size.jobsRunning.load(), 0u);
+    EXPECT_GT(seen, 0);
+    EXPECT_LE(seen, baseline + 2);
 }
 
 /** Hand-built MP (the Table 4 shape) for the union regression tests. */

@@ -155,6 +155,28 @@ TEST_F(ProofTest, ProofBytesArePinned)
     }
 }
 
+TEST_F(ProofTest, DaemonModeShardsCarryCheckedProofs)
+{
+    // A daemon-mode Service runs its size jobs like any other caller, so
+    // a query with a proof directory gets a proof for every shard it
+    // synthesizes, and every proof checks.
+    ServiceConfig config;
+    config.residentEncodings = true;
+    Service service(config);
+    SuiteRequest request;
+    request.model = "tso";
+    request.maxSize = 3;
+    request.options.proofDir = dir.string();
+    SuiteResult result = service.query(request);
+    ASSERT_GT(result.shardsSynthesized, 0u);
+    for (const ShardProvenance &shard : result.shards) {
+        EXPECT_FALSE(shard.cached);
+        EXPECT_EQ(shard.proofDigest.size(), 16u)
+            << shard.axiom << "@" << shard.size;
+    }
+    EXPECT_EQ(checkAllProofs(), 2u);
+}
+
 TEST_F(ProofTest, ProofKnobsAreEngineKnobs)
 {
     SynthOptions plain;

@@ -82,13 +82,13 @@ TEST(SimplifyIdentityTest, SimplifyActuallyEliminatesVariables)
     // The identity tests pass trivially if the pass never installs;
     // pin that synthesis actually runs it and it actually bites.
     auto tso = mm::makeModel("tso");
-    SynthOptions opt;
-    opt.minSize = 2;
-    opt.maxSize = 4;
-    SynthProgress progress;
-    opt.progress = &progress;
-    synthesizeAll(*tso, opt);
-    EXPECT_GT(progress.eliminatedVars.load(), 0u);
+    std::vector<SizeJob> jobs(3);
+    for (int i = 0; i < 3; i++) {
+        jobs[i].size = 2 + i;
+        for (const auto &axiom : tso->axioms())
+            jobs[i].tracks.push_back(axiomTrack(*tso, axiom.name));
+    }
+    EXPECT_GT(runSizeJobs(*tso, jobs, SynthOptions()).eliminatedVars, 0u);
 }
 
 } // namespace

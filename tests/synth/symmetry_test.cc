@@ -47,10 +47,13 @@ RunResult
 run(const mm::Model &model, SynthOptions opt, bool sbp)
 {
     opt.symmetryBreaking = sbp;
-    SynthProgress progress;
-    opt.progress = &progress;
     auto suites = synthesizeAll(model, opt);
-    return {suiteKey(suites), progress.instances.load()};
+    uint64_t raw = 0;
+    for (const Suite &suite : suites) {
+        if (suite.axiom != "union")
+            raw += suite.rawInstances;
+    }
+    return {suiteKey(suites), raw};
 }
 
 void

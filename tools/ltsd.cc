@@ -2,8 +2,8 @@
  * @file
  * ltsd — the long-running synthesis daemon.
  *
- * Listens on a unix-domain socket, keeps hot per-(model, size) base
- * encodings resident, and answers repeat SuiteRequests from the
+ * Listens on a unix-domain socket, keeps registry models and assembled
+ * results resident, and answers repeat SuiteRequests from memory or the
  * content-addressed suite store (synth/service.hh). Clients are
  * `ltsgen query --socket=...` or anything speaking the frame protocol
  * of store/wire.hh.

@@ -313,9 +313,8 @@ printResultStats(const synth::SuiteResult &result, double wall_seconds)
     }
     const synth::SynthProgressSnapshot &p = result.progress;
     std::fprintf(stderr,
-                 "  jobs: %llu done of %llu queued; "
-                 "%llu SAT conflicts, %llu instances enumerated\n",
-                 static_cast<unsigned long long>(p.jobsDone),
+                 "  jobs: %llu; %llu SAT conflicts, %llu instances "
+                 "enumerated\n",
                  static_cast<unsigned long long>(p.jobsQueued),
                  static_cast<unsigned long long>(p.conflicts),
                  static_cast<unsigned long long>(p.instances));
