@@ -221,5 +221,81 @@ TEST(CanonTest, ThreeThreadPermutationsAllMerge)
     EXPECT_EQ(permutations, 6);
 }
 
+/**
+ * Twelve events over three threads: a fence, all four dependency kinds,
+ * a scoped access, two threads sharing a workgroup, and a forbidden
+ * outcome with rf and co edges.
+ */
+LitmusTest
+buildKeyPinTest()
+{
+    TestBuilder b;
+    int t0 = b.newThread();
+    int t1 = b.newThread();
+    int t2 = b.newThread();
+    b.setWorkgroup(t0, 0);
+    b.setWorkgroup(t1, 1);
+    b.setWorkgroup(t2, 0);
+
+    int r0x = b.read(t0, "x");
+    int w0y = b.write(t0, "y");
+    b.dataDepend(r0x, w0y);
+    b.fence(t0, MemOrder::AcqRel);
+    int w0z = b.write(t0, "z", MemOrder::Release);
+    b.ctrlDepend(r0x, w0z);
+
+    int r1y = b.read(t1, "y", MemOrder::Acquire);
+    int r1z = b.read(t1, "z");
+    b.addrDepend(r1y, r1z);
+    int w1x = b.write(t1, "x");
+
+    int r2x = b.read(t2, "x");
+    int w2x = b.write(t2, "x");
+    b.pairRmw(r2x, w2x);
+    int w2y = b.write(t2, "y", MemOrder::SeqCst);
+    b.setScope(w2y, Scope::WorkGroup);
+    int r2y = b.read(t2, "y");
+    int w2z = b.write(t2, "z");
+
+    b.readsFrom(w1x, r0x);
+    b.readsFrom(w0y, r1y);
+    b.readsFrom(w2z, r1z);
+    b.readsFrom(w1x, r2x);
+    b.readsFrom(w0y, r2y);
+    b.coOrder(w1x, w2x);
+    b.coOrder(w0y, w2y);
+    b.coOrder(w0z, w2z);
+    return b.build("keypin");
+}
+
+// The serializations are the synthesizer's dedup keys and the suite
+// digest's input (digest.hh): these strings must not change without a
+// kSuiteDigestFormat bump.
+TEST(CanonTest, SerializationsArePinned)
+{
+    LitmusTest t = buildKeyPinTest();
+    ASSERT_EQ(t.validate(), "");
+    ASSERT_EQ(t.size(), 12u);
+    const std::string want_static =
+        "3/3/0:0:0:0:3|0:1:1:0:3|0:2:-1:4:3|0:1:2:3:3|1:0:1:2:3|"
+        "1:0:2:0:3|1:1:0:0:3|2:0:0:0:3|2:1:0:0:3|2:1:1:5:1|"
+        "2:0:1:0:3|2:1:2:0:3|A4>5,;D0>1,;C0>3,;M7>8,;G0,1,0,;";
+    EXPECT_EQ(staticSerialize(t), want_static);
+    EXPECT_EQ(fullSerialize(t),
+              want_static + "RF1>4,1>10,6>0,6>7,11>5,CO1>9,3>11,6>8,");
+    EXPECT_EQ(fullSerialize(canonicalize(t, CanonMode::Exact)),
+              "3/3/0:0:0:0:3|0:1:0:0:3|0:1:1:5:1|0:0:1:0:3|0:1:2:0:3|"
+              "1:0:0:0:3|1:1:1:0:3|1:2:-1:4:3|1:1:2:3:3|2:0:1:2:3|"
+              "2:0:2:0:3|2:1:0:0:3|A9>10,;D5>6,;C5>8,;M0>1,;G0,0,1,;"
+              "RF4>10,6>3,6>9,11>0,11>5,CO6>2,8>4,11>1,");
+    EXPECT_EQ(fullSerialize(canonicalize(t, CanonMode::Paper)),
+              "3/3/0:0:0:0:3|0:1:1:0:3|0:2:-1:4:3|0:1:2:3:3|1:0:0:0:3|"
+              "1:1:0:0:3|1:1:1:5:1|1:0:1:0:3|1:1:2:0:3|2:0:1:2:3|"
+              "2:0:2:0:3|2:1:0:0:3|A9>10,;D0>1,;C0>3,;M4>5,;G0,0,1,;"
+              "RF1>7,1>9,8>10,11>0,11>4,CO1>6,3>8,11>5,");
+    EXPECT_EQ(canonicalHash(t, CanonMode::Exact), 983854764674531181ULL);
+    EXPECT_EQ(canonicalHash(t, CanonMode::Paper), 2966167597468938070ULL);
+}
+
 } // namespace
 } // namespace lts::litmus
