@@ -61,9 +61,6 @@ class TypeInference
     /** @param n universe size used to instantiate the facts. */
     explicit TypeInference(const mm::Model &model, size_t n = 4);
 
-    /** Partition class names, e.g. {"R", "W", "F"}. */
-    const std::vector<std::string> &atomNames() const { return atoms; }
-
     /** Inferred bound of declared relation @p var_id. */
     TypeBound varBound(int var_id) const;
 

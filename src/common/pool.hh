@@ -59,11 +59,6 @@ class ThreadPool
      */
     void wait();
 
-    unsigned threadCount() const
-    {
-        return static_cast<unsigned>(workers.size());
-    }
-
     PoolCounters counters() const;
 
     /** Clamp a requested job count: 0 means hardware_concurrency(). */

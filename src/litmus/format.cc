@@ -229,7 +229,7 @@ parseInstruction(const LineReader &reader, TestBuilder &builder, int tid,
 } // namespace
 
 std::vector<LitmusTest>
-parseLitmusSuite(std::istream &in)
+parseLitmusSuite(std::istream &in, size_t max_tests)
 {
     std::vector<LitmusTest> out;
     LineReader reader(in);
@@ -325,7 +325,7 @@ parseLitmusSuite(std::istream &in)
         reader.clearContext();
     };
 
-    while (reader.next(line)) {
+    while (out.size() < max_tests && reader.next(line)) {
         std::string s = trim(line);
         if (s.empty() || s[0] == '#')
             continue;

@@ -22,6 +22,7 @@
 #ifndef LTS_LITMUS_FORMAT_HH
 #define LTS_LITMUS_FORMAT_HH
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -44,8 +45,13 @@ void writeLitmusSuite(std::ostream &out,
  */
 LitmusTest parseLitmus(const std::string &text);
 
-/** Parse a suite (zero or more tests). */
-std::vector<LitmusTest> parseLitmusSuite(std::istream &in);
+/**
+ * Parse a suite (zero or more tests). Stops after @p max_tests tests,
+ * leaving @p in positioned just past the last one's 'end' line, so a
+ * stream can carry several suites back to back.
+ */
+std::vector<LitmusTest>
+parseLitmusSuite(std::istream &in, size_t max_tests = SIZE_MAX);
 
 } // namespace lts::litmus
 

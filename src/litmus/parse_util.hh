@@ -40,9 +40,6 @@ class LineReader
     /** Read the next raw line; false at end of input. */
     bool next(std::string &line);
 
-    /** 1-based number of the line last returned by next(). */
-    int lineNumber() const { return line_no; }
-
     /** The current line as a SourceLine, for deferred diagnostics. */
     SourceLine here(const std::string &text) const
     {

@@ -13,10 +13,13 @@ using litmus::LitmusTest;
 using litmus::MemOrder;
 using litmus::Outcome;
 
-std::string
-annotationSet(const Model &model, MemOrder order)
+namespace
 {
-    (void)model; // reserved: per-model annotation naming
+
+/** Map a memory-order annotation to its set name ("" = none). */
+std::string
+annotationSet(MemOrder order)
+{
     switch (order) {
       case MemOrder::Plain:
         return "";
@@ -35,6 +38,8 @@ annotationSet(const Model &model, MemOrder order)
     }
     return "";
 }
+
+} // namespace
 
 rel::Instance
 toInstance(const Model &model, const LitmusTest &test, const Outcome &outcome,
@@ -66,7 +71,7 @@ toInstance(const Model &model, const LitmusTest &test, const Outcome &outcome,
             setOf(kF).set(e.id);
             break;
         }
-        std::string annot = annotationSet(model, e.order);
+        std::string annot = annotationSet(e.order);
         if (!annot.empty()) {
             if (!vocab.contains(annot))
                 throw std::invalid_argument(

@@ -38,9 +38,6 @@ rel::Instance toInstance(const Model &model, const litmus::LitmusTest &test,
 litmus::LitmusTest fromInstance(const Model &model,
                                 const rel::Instance &inst);
 
-/** Map a memory-order annotation to the model's set name ("" = none). */
-std::string annotationSet(const Model &model, litmus::MemOrder order);
-
 } // namespace lts::mm
 
 #endif // LTS_MM_CONVERT_HH

@@ -204,12 +204,13 @@ class Model
 
     /**
      * The symmetry-breaking prescription for this model's encoding at
-     * universe size @p n (see rel/symmetry.hh). Kodkod's generic
-     * partition detection finds nothing here — the po.index-order fact
-     * mentions the indexLt constant, which distinguishes every atom — so
-     * the spec is built from what the well-formedness facts guarantee
-     * instead: the only residual symmetry is permuting whole thread
-     * blocks (within a workgroup, for scoped models). It contains
+     * universe size @p n (see rel/symmetry.hh). Kodkod's partition
+     * detection (Torlak & Jackson, TACAS'07) would find nothing here —
+     * the po.index-order fact mentions the indexLt constant, which
+     * distinguishes every atom — so the spec is built from what the
+     * well-formedness facts guarantee instead: the only residual
+     * symmetry is permuting whole thread blocks (within a workgroup,
+     * for scoped models). It contains
      *
      *  - conditional lex-leader generators swapping two equally sized
      *    complete thread blocks, guarded by the po cells that make the

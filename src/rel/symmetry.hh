@@ -6,30 +6,26 @@
  * universe that fixes every constant appearing in its formulas: permuting
  * the atoms of a satisfying instance yields another satisfying instance.
  * Enumeration loops therefore visit every member of each isomorphism
- * class unless the encoding prunes them. This module provides the two
- * standard ingredients Kodkod uses (Torlak & Jackson, TACAS'07):
- *
- *  1. *Partition detection*: split the universe into classes of atoms
- *     that no constant expression distinguishes (detectInterchangeable).
- *     Atoms within a class are interchangeable, so transpositions of
- *     adjacent class members generate the full symmetry group.
- *
- *  2. *Lex-leader predicates*: for each generator permutation pi, assert
- *     that the instance — read as a bit vector over the declared
- *     relation matrices — is lexicographically no greater than its image
- *     under pi. Every isomorphism class keeps at least one member (its
- *     lex-least), while most redundant members become UNSAT before they
- *     are ever enumerated.
+ * class unless the encoding prunes them. Kodkod (Torlak & Jackson,
+ * TACAS'07) prunes them with *lex-leader predicates*: for each generator
+ * permutation pi, assert that the instance — read as a bit vector over
+ * the declared relation matrices — is lexicographically no greater than
+ * its image under pi. Every isomorphism class keeps at least one member
+ * (its lex-least), while most redundant members become UNSAT before they
+ * are ever enumerated.
  *
  * Generators may be *conditional*: the lex-leader constraint is guarded
  * by a conjunction of cell literals and only binds on instances where
  * the guard holds. This is how the memory-model layer expresses
  * thread-block swaps, which are symmetries only when the swapped index
- * ranges actually form complete, equally sized threads (the universe is
- * otherwise ordered by the po.index-order well-formedness fact, which
- * makes every atom distinguishable to the generic detector). A spec may
- * also carry plain *forbidden patterns* — conjunctions of cell literals
- * no canonical instance needs — which lower to single clauses.
+ * ranges actually form complete, equally sized threads. Kodkod finds its
+ * generators by partitioning the universe into atoms no constant tells
+ * apart; on a memory model that partition is trivial, because the
+ * po.index-order well-formedness fact distinguishes every atom, so the
+ * generators come from the model instead (mm::Model::symmetrySpec).
+ *
+ * A spec may also carry plain *forbidden patterns* — conjunctions of cell
+ * literals no canonical instance needs — which lower to single clauses.
  *
  * RelSolver::addSymmetryBreaking installs a spec as a retractable fact
  * layer so enumeration can activate it while witness-resolution queries
@@ -40,11 +36,9 @@
 #ifndef LTS_REL_SYMMETRY_HH
 #define LTS_REL_SYMMETRY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "rel/formula.hh"
-#include "rel/instance.hh"
 
 namespace lts::rel
 {
@@ -109,33 +103,6 @@ struct SymmetryStats
     uint64_t generators = 0; ///< lex-leader predicates asserted
     uint64_t forbidden = 0;  ///< forbidden-pattern clauses asserted
 };
-
-/**
- * Partition the universe into interchangeable-atom classes: atoms i and
- * k share a class iff swapping them fixes every constant expression
- * appearing in @p facts (unary membership equal; binary rows/columns
- * equal outside {i, k} and equal on the diagonal and the (i,k)/(k,i)
- * cells). Classes are returned sorted by smallest member; relation
- * *variables* never split a class — they are symmetric by construction.
- */
-std::vector<std::vector<size_t>>
-detectInterchangeable(const std::vector<FormulaPtr> &facts, size_t n);
-
-/**
- * Unconditional generators for a detected partition: transpositions of
- * adjacent atoms within each class, which generate the full product of
- * symmetric groups over the classes.
- */
-std::vector<ConditionalPerm>
-unconditionalGenerators(const std::vector<std::vector<size_t>> &classes);
-
-/**
- * Convenience: a spec whose lex vector covers every declared relation
- * and whose generators come from unconditionalGenerators over the
- * detected partition of @p facts.
- */
-SymmetrySpec specFromFacts(const Vocabulary &vocab,
-                           const std::vector<FormulaPtr> &facts, size_t n);
 
 } // namespace lts::rel
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "store/crc32.hh"
 
@@ -20,8 +21,7 @@ namespace
 {
 
 constexpr uint32_t kMagic = 0x3153544cu; // "LTS1" little-endian
-constexpr uint8_t kTypePut = 1;
-constexpr uint8_t kTypeTombstone = 2;
+constexpr uint8_t kTypePut = 1; // the only record type
 constexpr size_t kHeaderBytes = 4 + 1 + 4 + 4; // magic, type, keyLen, valLen
 constexpr size_t kTrailerBytes = 4;            // crc
 constexpr uint32_t kMaxPayload = 512u << 20;   // sanity bound per field
@@ -78,14 +78,14 @@ writeAll(int fd, const char *p, size_t len)
     }
 }
 
-/** The on-disk bytes of one record (see the format in store.hh). */
+/** The on-disk bytes of one put record (see the format in store.hh). */
 std::string
-encodeRecord(uint8_t type, const std::string &key, const std::string &value)
+encodeRecord(const std::string &key, const std::string &value)
 {
     std::string rec;
     rec.reserve(kHeaderBytes + key.size() + value.size() + kTrailerBytes);
     putU32(rec, kMagic);
-    rec.push_back(static_cast<char>(type));
+    rec.push_back(static_cast<char>(kTypePut));
     putU32(rec, static_cast<uint32_t>(key.size()));
     putU32(rec, static_cast<uint32_t>(value.size()));
     rec += key;
@@ -98,13 +98,14 @@ encodeRecord(uint8_t type, const std::string &key, const std::string &value)
 
 /**
  * Decode one record at @p offset. Returns false when the bytes from
- * @p offset to EOF do not form an intact record (short, bad magic,
- * oversized length field, or CRC mismatch) — the caller treats that as
- * the torn tail. On success fills key/value/type and the record size.
+ * @p offset to EOF do not form an intact put record (short, bad magic,
+ * unknown type, oversized length field, or CRC mismatch) — the caller
+ * treats that as the torn tail. On success fills key/value and the
+ * record size.
  */
 bool
-readRecord(int fd, uint64_t offset, uint64_t file_size, uint8_t &type,
-           std::string &key, std::string &value, uint64_t &record_bytes)
+readRecord(int fd, uint64_t offset, uint64_t file_size, std::string &key,
+           std::string &value, uint64_t &record_bytes)
 {
     if (offset + kHeaderBytes + kTrailerBytes > file_size)
         return false;
@@ -113,10 +114,9 @@ readRecord(int fd, uint64_t offset, uint64_t file_size, uint8_t &type,
         return false;
     if (getU32(hdr) != kMagic)
         return false;
-    type = hdr[4];
     uint32_t key_len = getU32(hdr + 5);
     uint32_t val_len = getU32(hdr + 9);
-    if (type != kTypePut && type != kTypeTombstone)
+    if (hdr[4] != kTypePut)
         return false;
     if (key_len == 0 || key_len > kMaxPayload || val_len > kMaxPayload)
         return false;
@@ -140,39 +140,6 @@ readRecord(int fd, uint64_t offset, uint64_t file_size, uint8_t &type,
     key.assign(payload, 0, key_len);
     value.assign(payload, key_len, val_len);
     return true;
-}
-
-/** The scan shared by SuiteStore::fsck and fsckSegment. */
-FsckReport
-scanForFsck(int fd, uint64_t file_size)
-{
-    FsckReport report;
-    std::unordered_map<std::string, bool> live; // key -> last record is put
-    uint64_t offset = 0;
-    uint8_t type;
-    std::string key, value;
-    uint64_t record_bytes;
-    while (offset < file_size) {
-        if (!readRecord(fd, offset, file_size, type, key, value,
-                        record_bytes)) {
-            // Distinguish a whole corrupt record (header-sized bytes
-            // present, crc or framing bad) from a short tail only by
-            // whether a header could even fit; both stop the scan,
-            // exactly as recovery does on open.
-            report.tornBytes = file_size - offset;
-            if (offset + kHeaderBytes + kTrailerBytes <= file_size)
-                report.badCrc++;
-            break;
-        }
-        report.records++;
-        live[key] = type == kTypePut;
-        offset += record_bytes;
-    }
-    for (const auto &[k, is_live] : live) {
-        if (is_live)
-            report.liveKeys++;
-    }
-    return report;
 }
 
 } // namespace
@@ -239,27 +206,11 @@ SuiteStore::scanSegment()
     deadBytes = 0;
     recordCount = 0;
     uint64_t offset = 0;
-    uint8_t type;
     std::string key, value;
     uint64_t record_bytes;
     while (offset < fileSize &&
-           readRecord(fd, offset, fileSize, type, key, value,
-                      record_bytes)) {
-        recordCount++;
-        auto it = index.find(key);
-        if (it != index.end()) {
-            deadBytes += it->second.recordBytes;
-            index.erase(it);
-        }
-        if (type == kTypePut) {
-            Entry e;
-            e.valueOffset = offset + kHeaderBytes + key.size();
-            e.valueLen = static_cast<uint32_t>(value.size());
-            e.recordBytes = record_bytes;
-            index.emplace(key, e);
-        } else {
-            deadBytes += record_bytes; // the tombstone itself
-        }
+           readRecord(fd, offset, fileSize, key, value, record_bytes)) {
+        indexPut(key, offset, value.size(), record_bytes);
         offset += record_bytes;
     }
     if (offset < fileSize) {
@@ -276,27 +227,18 @@ SuiteStore::scanSegment()
 }
 
 void
-SuiteStore::appendRecord(uint8_t type, const std::string &key,
-                         const std::string &value)
+SuiteStore::indexPut(const std::string &key, uint64_t offset,
+                     size_t value_len, uint64_t record_bytes)
 {
-    const std::string rec = encodeRecord(type, key, value);
-    writeAll(fd, rec.data(), rec.size());
-
-    auto it = index.find(key);
-    if (it != index.end()) {
-        deadBytes += it->second.recordBytes;
-        index.erase(it);
+    Entry e;
+    e.valueOffset = offset + kHeaderBytes + key.size();
+    e.valueLen = static_cast<uint32_t>(value_len);
+    e.recordBytes = record_bytes;
+    auto [it, inserted] = index.try_emplace(key, e);
+    if (!inserted) {
+        deadBytes += it->second.recordBytes; // superseded
+        it->second = e;
     }
-    if (type == kTypePut) {
-        Entry e;
-        e.valueOffset = fileSize + kHeaderBytes + key.size();
-        e.valueLen = static_cast<uint32_t>(value.size());
-        e.recordBytes = rec.size();
-        index.emplace(key, e);
-    } else {
-        deadBytes += rec.size();
-    }
-    fileSize += rec.size();
     recordCount++;
 }
 
@@ -319,7 +261,10 @@ SuiteStore::put(const std::string &key, const std::string &value)
             return;
         }
     }
-    appendRecord(kTypePut, key, value);
+    const std::string rec = encodeRecord(key, value);
+    writeAll(fd, rec.data(), rec.size());
+    indexPut(key, fileSize, value.size(), rec.size());
+    fileSize += rec.size();
 }
 
 std::optional<std::string>
@@ -334,20 +279,6 @@ SuiteStore::get(const std::string &key) const
         throw std::runtime_error("store: short read in " + segmentPath());
     }
     return value;
-}
-
-bool
-SuiteStore::contains(const std::string &key) const
-{
-    return index.count(key) != 0;
-}
-
-void
-SuiteStore::erase(const std::string &key)
-{
-    if (index.count(key) == 0)
-        return;
-    appendRecord(kTypeTombstone, key, "");
 }
 
 std::vector<std::string>
@@ -374,12 +305,6 @@ SuiteStore::stats() const
 }
 
 FsckReport
-SuiteStore::fsck() const
-{
-    return scanForFsck(fd, fileSize);
-}
-
-FsckReport
 fsckSegment(const std::string &segment_path)
 {
     int fd = ::open(segment_path.c_str(), O_RDONLY);
@@ -394,9 +319,29 @@ fsckSegment(const std::string &segment_path)
         throw std::runtime_error("store: cannot stat " + segment_path +
                                  ": " + std::strerror(err));
     }
-    FsckReport report =
-        scanForFsck(fd, static_cast<uint64_t>(st.st_size));
+    const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+    FsckReport report;
+    std::unordered_set<std::string> live;
+    uint64_t offset = 0;
+    std::string key, value;
+    uint64_t record_bytes;
+    while (offset < file_size) {
+        if (!readRecord(fd, offset, file_size, key, value, record_bytes)) {
+            // Distinguish a whole corrupt record (header-sized bytes
+            // present, crc, type or framing bad) from a short tail only
+            // by whether a header could even fit; both stop the scan,
+            // exactly as recovery does on open.
+            report.tornBytes = file_size - offset;
+            if (offset + kHeaderBytes + kTrailerBytes <= file_size)
+                report.badCrc++;
+            break;
+        }
+        report.records++;
+        live.insert(key);
+        offset += record_bytes;
+    }
     ::close(fd);
+    report.liveKeys = live.size();
     return report;
 }
 
@@ -426,7 +371,7 @@ SuiteStore::compact()
     }
     try {
         for (const auto &[key, value] : records) {
-            const std::string rec = encodeRecord(kTypePut, key, value);
+            const std::string rec = encodeRecord(key, value);
             writeAll(tmp, rec.data(), rec.size());
         }
     } catch (...) {

@@ -10,19 +10,20 @@
  * content-addressed shard records). The format is deliberately dumb:
  *
  *   record := magic  u32 LE   ("LTS1", 0x3153544c)
- *             type   u8       (1 = put, 2 = tombstone)
+ *             type   u8       (1 = put, the only type)
  *             keyLen u32 LE
- *             valLen u32 LE   (0 for tombstones)
+ *             valLen u32 LE
  *             key    bytes
  *             value  bytes
  *             crc    u32 LE   (CRC-32 of type..value)
  *
  * Appends are single write(2) calls; a crash can only tear the tail.
- * On open, the scan stops at the first record that is incomplete or
- * fails its CRC and truncates the file there — everything after a torn
- * record is unreachable by construction in an append-only log, so
- * dropping it loses at most the writes that never returned. Updates
- * append a fresh record (the index keeps the newest offset); compact()
+ * On open, the scan stops at the first record that is incomplete, fails
+ * its CRC or carries any type but put, and truncates the file there —
+ * everything after a torn record is unreachable by construction in an
+ * append-only log, so dropping it loses at most the writes that never
+ * returned. Updates append a fresh record (the index keeps the newest
+ * offset); there is no delete, so a key once put stays live. compact()
  * rewrites only live records into a temp segment and renames it into
  * place, which is atomic within a directory.
  *
@@ -61,7 +62,7 @@ struct FsckReport
 {
     uint64_t records = 0;   ///< intact records scanned
     uint64_t liveKeys = 0;  ///< distinct keys with a live value
-    uint64_t badCrc = 0;    ///< records whose checksum failed
+    uint64_t badCrc = 0;    ///< records whose checksum or type failed
     uint64_t tornBytes = 0; ///< trailing bytes not forming a whole record
 
     bool
@@ -106,23 +107,14 @@ class SuiteStore
      */
     std::optional<std::string> get(const std::string &key) const;
 
-    /** True iff @p key has a live value (no I/O). */
-    bool contains(const std::string &key) const;
-
-    /** Tombstone @p key (no-op when absent). */
-    void erase(const std::string &key);
-
     /** Live keys in unspecified order. */
     std::vector<std::string> keys() const;
 
     StoreStats stats() const;
 
-    /** Re-scan the whole segment, checking every record's CRC. */
-    FsckReport fsck() const;
-
     /**
      * Rewrite live records into a fresh segment (temp file + atomic
-     * rename), dropping superseded records and tombstones. Returns the
+     * rename), dropping superseded records. Returns the
      * number of bytes reclaimed.
      */
     uint64_t compact();
@@ -143,8 +135,9 @@ class SuiteStore
 
     void openSegment();
     void scanSegment();
-    void appendRecord(uint8_t type, const std::string &key,
-                      const std::string &value);
+    /** Index the put of @p key whose record starts at @p offset. */
+    void indexPut(const std::string &key, uint64_t offset, size_t value_len,
+                  uint64_t record_bytes);
 
     std::string dir;
     int fd = -1;

@@ -107,6 +107,23 @@ serveConnection(int fd, Service &service, const DaemonConfig &config)
     return true;
 }
 
+/** Send an empty @p type frame; true iff the daemon answers Result. */
+bool
+controlDaemon(const std::string &socket_path, FrameType type)
+{
+    try {
+        int fd = connectUnix(socket_path);
+        bool ok = store::writeFrame(fd, type, "");
+        Frame frame;
+        ok = ok && store::readFrame(fd, frame) &&
+             frame.type == FrameType::Result;
+        ::close(fd);
+        return ok;
+    } catch (const std::exception &) {
+        return false;
+    }
+}
+
 } // namespace
 
 int
@@ -221,33 +238,13 @@ queryDaemon(const std::string &socket_path, const SuiteRequest &request,
 bool
 pingDaemon(const std::string &socket_path)
 {
-    try {
-        int fd = connectUnix(socket_path);
-        bool ok = store::writeFrame(fd, FrameType::Ping, "");
-        Frame frame;
-        ok = ok && store::readFrame(fd, frame) &&
-             frame.type == FrameType::Result;
-        ::close(fd);
-        return ok;
-    } catch (const std::exception &) {
-        return false;
-    }
+    return controlDaemon(socket_path, FrameType::Ping);
 }
 
 bool
 shutdownDaemon(const std::string &socket_path)
 {
-    try {
-        int fd = connectUnix(socket_path);
-        bool ok = store::writeFrame(fd, FrameType::Shutdown, "");
-        Frame frame;
-        ok = ok && store::readFrame(fd, frame) &&
-             frame.type == FrameType::Result;
-        ::close(fd);
-        return ok;
-    } catch (const std::exception &) {
-        return false;
-    }
+    return controlDaemon(socket_path, FrameType::Shutdown);
 }
 
 } // namespace lts::synth

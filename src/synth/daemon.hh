@@ -6,7 +6,8 @@
  * frame protocol of store/wire.hh: per request the server streams zero
  * or more Progress frames and ends with exactly one Result (a
  * serialized SuiteResult) or Error frame. The daemon owns a Service in
- * daemon mode (resident models and results), so repeat queries hit
+ * daemon mode (resident results, beside the registry models every
+ * Service keeps resident), so repeat queries hit
  * memory or the store and model-edit queries re-synthesize only the
  * changed shards. Each size job frees its solver when it ends, so a
  * request's memory is released once it is answered.

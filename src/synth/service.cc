@@ -113,34 +113,16 @@ class Reader
 
     /**
      * Parse exactly @p count tests and leave the stream positioned
-     * after them. parseLitmusSuite would drain the whole stream, which
-     * breaks payloads carrying several suites back to back, so collect
-     * lines up to the count-th 'end' terminator first.
+     * after them, so payloads can carry several suites back to back.
      */
     std::vector<litmus::LitmusTest>
     tests(size_t count)
     {
-        std::string chunk;
-        size_t ends = 0;
-        std::string l;
-        while (ends < count && std::getline(in, l)) {
-            chunk += l;
-            chunk += '\n';
-            if (trim(l) == "end")
-                ends++;
-        }
-        if (ends < count) {
+        auto suite = litmus::parseLitmusSuite(in, count);
+        if (suite.size() != count) {
             throw std::runtime_error(
                 "service: truncated test block: expected " +
                 std::to_string(count) + " tests, found " +
-                std::to_string(ends));
-        }
-        std::istringstream chunk_in(chunk);
-        auto suite = litmus::parseLitmusSuite(chunk_in);
-        if (suite.size() != count) {
-            throw std::runtime_error(
-                "service: test count mismatch: expected " +
-                std::to_string(count) + ", parsed " +
                 std::to_string(suite.size()));
         }
         return suite;
@@ -515,19 +497,12 @@ Service::~Service() = default;
 SuiteResult
 Service::query(const SuiteRequest &request, const QueryProgressFn &on_progress)
 {
-    if (config.residentEncodings) {
-        // Daemon mode: keep the registry model resident so its memoized
-        // digest makes repeat-query keying cost map lookups, not
-        // formula rendering.
-        auto it = models.find(request.model);
-        if (it == models.end()) {
-            it = models.emplace(request.model, mm::makeModel(request.model))
-                     .first;
-        }
-        return query(*it->second, request, on_progress);
-    }
-    std::unique_ptr<mm::Model> model = mm::makeModel(request.model);
-    return query(*model, request, on_progress);
+    // Keep the registry model resident so its memoized digest makes
+    // repeat-query keying cost map lookups, not formula rendering.
+    auto it = models.find(request.model);
+    if (it == models.end())
+        it = models.emplace(request.model, mm::makeModel(request.model)).first;
+    return query(*it->second, request, on_progress);
 }
 
 SuiteResult

@@ -153,21 +153,23 @@ struct ServiceConfig
     std::string storeDir;
 
     /**
-     * The daemon mode: keep registry models and assembled results
-     * resident between queries, so a repeat query costs map lookups.
-     * Misses run through runSizeJobs either way, honoring the engine
-     * knobs (jobs, simplify, sbp, proofs) exactly as synthesizeAll
-     * would, and each size job frees its solver when it ends. Suite
-     * bytes and counters are identical either way.
+     * The daemon mode: keep assembled results resident between queries,
+     * so a repeat query costs map lookups. (Registry models resolved by
+     * name stay resident in every mode; see Service::models.) Misses run
+     * through runSizeJobs either way, honoring the engine knobs (jobs,
+     * simplify, sbp, proofs) exactly as synthesizeAll would, and each
+     * size job frees its solver when it ends. Suite bytes and counters
+     * are identical either way.
      */
     bool residentEncodings = false;
 };
 
 /**
- * The synthesis service: a suite store (optional) plus resident models
- * and results (daemon mode). A query synthesizes its missing
- * shards in one runSizeJobs call — one job per size, on SynthOptions::
- * jobs threads — and streams progress lines from the caller thread.
+ * The synthesis service: a suite store (optional), resident registry
+ * models, and resident results (daemon mode). A query synthesizes its
+ * missing shards in one runSizeJobs call — one job per size, on
+ * SynthOptions::jobs threads — and streams progress lines from the
+ * caller thread.
  * One instance per daemon or CLI invocation; not thread-safe — callers
  * serialize queries.
  */
@@ -194,8 +196,10 @@ class Service
   private:
     ServiceConfig config;
     std::unique_ptr<store::SuiteStore> suiteStore;
-    /// Daemon mode only: registry models kept resident across requests,
-    /// so their memoized digests make repeat-query keying cheap.
+    /// Registry models resolved by name, kept resident across requests
+    /// so their memoized digests make repeat-query keying cheap. A
+    /// one-shot Service answers one query, so holding its model costs
+    /// nothing extra.
     std::map<std::string, std::unique_ptr<mm::Model>> models;
     /// Daemon mode only: assembled SuiteResults keyed by manifest key,
     /// so a repeat query skips store reads and reassembly entirely. The

@@ -100,7 +100,8 @@ removeEvent(const LitmusTest &test, int victim)
         if (static_cast<int>(i) == victim)
             continue;
         const auto &e = test.events[i];
-        std::string loc = "m" + std::to_string(e.loc);
+        std::string loc = "m";
+        loc += std::to_string(e.loc);
         switch (e.type) {
           case litmus::EventType::Read:
             remap[i] = b.read(e.tid, loc, e.order);

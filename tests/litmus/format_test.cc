@@ -95,6 +95,29 @@ TEST(FormatTest, SuiteRoundTrip)
     EXPECT_EQ(fullSerialize(back[1]), fullSerialize(suite[1]));
 }
 
+TEST(FormatTest, BoundedSuiteParseLeavesTheRestOfTheStream)
+{
+    // Two suites back to back, as service payloads carry them: a
+    // bounded parse stops right after its last test's 'end' line.
+    std::ostringstream out;
+    writeLitmusSuite(out, {mpRelAcq(), rmwCoTest()});
+    out << "trailer\n";
+    writeLitmusSuite(out, {powerishTest()});
+    std::istringstream in(out.str());
+
+    EXPECT_TRUE(parseLitmusSuite(in, 0).empty());
+    auto first = parseLitmusSuite(in, 2);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_EQ(first[1].name, rmwCoTest().name);
+    std::string line;
+    while (std::getline(in, line) && line.empty()) {
+    }
+    EXPECT_EQ(line, "trailer");
+    auto second = parseLitmusSuite(in, 5);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_EQ(fullSerialize(second[0]), fullSerialize(powerishTest()));
+}
+
 TEST(FormatTest, ParsesHandWrittenText)
 {
     std::string text = R"(

@@ -158,8 +158,9 @@ TEST(RelSimplifyTest, SymmetryBreakingComposesWithSimplify)
     auto run = [&](bool simplify) {
         RelSolver solver(vocab, 3);
         solver.addBaseFact(mkIrreflexive(r));
-        if (simplify)
+        if (simplify) {
             EXPECT_TRUE(solver.simplifyBase());
+        }
         solver.addSymmetryBreaking(spec);
         return enumerate(solver);
     };

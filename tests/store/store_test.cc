@@ -3,17 +3,20 @@
  * SuiteStore durability tests: reads of superseded, compacted and
  * reopened records (every get() reads the segment), the pinned record
  * layout, crash recovery from a torn tail record, CRC rejection of
- * corrupted records, and compaction.
+ * corrupted records, rejection of records of any type but put, and
+ * compaction.
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 #include "store/crc32.hh"
 #include "store/store.hh"
@@ -55,23 +58,18 @@ class StoreTest : public ::testing::Test
     std::string dir;
 };
 
-TEST_F(StoreTest, PutGetContainsErase)
+TEST_F(StoreTest, PutGetSupersede)
 {
     store::SuiteStore s(dir);
-    EXPECT_FALSE(s.contains("k"));
     EXPECT_FALSE(s.get("k").has_value());
 
     s.put("k", "value-1");
-    EXPECT_TRUE(s.contains("k"));
     EXPECT_EQ(s.get("k").value(), "value-1");
 
     s.put("k", "value-2"); // supersede
     EXPECT_EQ(s.get("k").value(), "value-2");
-
-    s.erase("k");
-    EXPECT_FALSE(s.contains("k"));
-    EXPECT_FALSE(s.get("k").has_value());
-    s.erase("k"); // double-erase is a no-op
+    EXPECT_EQ(s.stats().liveKeys, 1u);
+    EXPECT_EQ(s.stats().records, 2u);
 }
 
 TEST_F(StoreTest, PersistsAcrossReopen)
@@ -81,13 +79,13 @@ TEST_F(StoreTest, PersistsAcrossReopen)
         s.put("a", "alpha");
         s.put("b", "beta");
         s.put("a", "alpha-2");
-        s.erase("b");
         s.flush();
     }
     store::SuiteStore s(dir);
     EXPECT_EQ(s.get("a").value(), "alpha-2");
-    EXPECT_FALSE(s.contains("b"));
-    EXPECT_EQ(s.stats().liveKeys, 1u);
+    EXPECT_EQ(s.get("b").value(), "beta");
+    EXPECT_FALSE(s.get("c").has_value());
+    EXPECT_EQ(s.stats().liveKeys, 2u);
 }
 
 TEST_F(StoreTest, IdenticalPutDoesNotGrowSegment)
@@ -148,11 +146,11 @@ TEST_F(StoreTest, TornTailIsTruncatedOnReopen)
     // Reopen: the torn tail is dropped, intact records survive.
     store::SuiteStore s(dir);
     EXPECT_EQ(s.get("keep").value(), "kept-value");
-    EXPECT_FALSE(s.contains("torn"));
+    EXPECT_FALSE(s.get("torn").has_value());
     EXPECT_GT(s.stats().tornBytesDropped, 0u);
 
     // After the repair the segment scans clean again.
-    store::FsckReport after = s.fsck();
+    store::FsckReport after = store::fsckSegment(segmentPath());
     EXPECT_TRUE(after.clean());
     EXPECT_EQ(after.liveKeys, 1u);
 
@@ -184,13 +182,61 @@ TEST_F(StoreTest, CorruptedRecordFailsFsck)
     EXPECT_EQ(report.liveKeys, 0u);
 }
 
+TEST_F(StoreTest, RecordOfAnotherTypeIsRejectedLikeBadCrc)
+{
+    // Hand-built segment: put a, a CRC-valid record of another type for
+    // a (2 was once a tombstone), put b. Only type 1 exists, so the
+    // other record is damage: fsck counts it bad, and reopening keeps a
+    // and truncates from that record onward.
+    auto record = [](char type, const std::string &key,
+                     const std::string &value) {
+        auto u32 = [](uint32_t v) {
+            std::string out;
+            for (int i = 0; i < 4; i++)
+                out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+            return out;
+        };
+        std::string body = std::string(1, type) +
+                           u32(static_cast<uint32_t>(key.size())) +
+                           u32(static_cast<uint32_t>(value.size())) + key +
+                           value;
+        return "LTS1" + body + u32(store::crc32(body));
+    };
+    const std::string put_a = record('\x01', "a", "alpha");
+    const std::string put_b = record('\x01', "b", "beta");
+    for (char type : {'\x02', '\x03'}) {
+        SCOPED_TRACE(static_cast<int>(type));
+        const std::string other = record(type, "a", "");
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        {
+            std::ofstream f(segmentPath(), std::ios::binary);
+            f << put_a << other << put_b;
+        }
+
+        store::FsckReport report = store::fsckSegment(segmentPath());
+        EXPECT_FALSE(report.clean());
+        EXPECT_EQ(report.records, 1u);
+        EXPECT_EQ(report.liveKeys, 1u);
+        EXPECT_EQ(report.badCrc, 1u);
+        EXPECT_EQ(report.tornBytes, other.size() + put_b.size());
+
+        store::SuiteStore s(dir);
+        EXPECT_EQ(s.get("a").value_or("<missing>"), "alpha");
+        EXPECT_FALSE(s.get("b").has_value());
+        EXPECT_EQ(s.stats().tornBytesDropped, other.size() + put_b.size());
+        EXPECT_EQ(s.stats().fileBytes, put_a.size());
+        EXPECT_EQ(fs::file_size(segmentPath()), put_a.size());
+        EXPECT_TRUE(store::fsckSegment(segmentPath()).clean());
+    }
+}
+
 TEST_F(StoreTest, CompactDropsSupersededRecords)
 {
     store::SuiteStore s(dir);
     for (int i = 0; i < 10; i++)
         s.put("hot", "version-" + std::to_string(i));
     s.put("cold", "untouched");
-    s.erase("cold");
     s.flush();
     uint64_t before = s.stats().fileBytes;
     ASSERT_GT(s.stats().deadBytes, 0u);
@@ -200,12 +246,14 @@ TEST_F(StoreTest, CompactDropsSupersededRecords)
     EXPECT_LT(s.stats().fileBytes, before);
     EXPECT_EQ(s.stats().deadBytes, 0u);
     EXPECT_EQ(s.get("hot").value(), "version-9");
-    EXPECT_FALSE(s.contains("cold"));
+    EXPECT_EQ(s.get("cold").value(), "untouched");
+    EXPECT_EQ(s.stats().records, 2u);
 
     // The compacted segment must survive a reopen and an fsck.
     store::SuiteStore reopened(dir);
     EXPECT_EQ(reopened.get("hot").value(), "version-9");
-    EXPECT_TRUE(reopened.fsck().clean());
+    EXPECT_EQ(reopened.get("cold").value(), "untouched");
+    EXPECT_TRUE(store::fsckSegment(segmentPath()).clean());
 }
 
 TEST_F(StoreTest, KeysListsLiveKeysOnly)
@@ -213,10 +261,10 @@ TEST_F(StoreTest, KeysListsLiveKeysOnly)
     store::SuiteStore s(dir);
     s.put("a", "1");
     s.put("b", "2");
-    s.erase("a");
+    s.put("a", "3"); // supersedes the first record of "a"
     auto keys = s.keys();
-    ASSERT_EQ(keys.size(), 1u);
-    EXPECT_EQ(keys[0], "b");
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
 
 TEST(Crc32Test, MatchesKnownVector)

@@ -9,7 +9,7 @@
  * backward and extracting the unsat core as a side effect.
  *
  *   lts-drat-check proofs/tso.n4.drat          # check one trace
- *   lts-drat-check --verify-all proofs/*.drat  # check every derivation
+ *   lts-drat-check --verify-all proofs/tso.n*.drat  # check every derivation
  *
  * Exit code 0 when every file checks, 1 when any fails (the diagnostic
  * names the offending step), 2 on usage errors.

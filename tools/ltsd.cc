@@ -2,9 +2,10 @@
  * @file
  * ltsd — the long-running synthesis daemon.
  *
- * Listens on a unix-domain socket, keeps registry models and assembled
- * results resident, and answers repeat SuiteRequests from memory or the
- * content-addressed suite store (synth/service.hh). Clients are
+ * Listens on a unix-domain socket, keeps assembled results resident
+ * (daemon mode; registry models stay resident in every Service), and
+ * answers repeat SuiteRequests from memory or the content-addressed
+ * suite store (synth/service.hh). Clients are
  * `ltsgen query --socket=...` or anything speaking the frame protocol
  * of store/wire.hh.
  *
