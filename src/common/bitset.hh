@@ -28,6 +28,7 @@
 #define LTS_COMMON_BITSET_HH
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -164,6 +165,20 @@ class BitMatrix
 
     /** Row @p i as a set of n bits (one inline word for n <= 64). */
     Bitset row(size_t i) const;
+
+    /** Call @p fn(i, j) for every related pair, in row-major order. */
+    template <typename Fn>
+    void
+    forEachPair(Fn &&fn) const
+    {
+        for (size_t i = 0; i < n; i++) {
+            const uint64_t *row = rowWords(i);
+            for (size_t w = 0; w < stride(); w++) {
+                for (uint64_t bits = row[w]; bits; bits &= bits - 1)
+                    fn(i, w * 64 + std::countr_zero(bits));
+            }
+        }
+    }
 
     /** Number of related pairs. */
     size_t count() const;

@@ -45,13 +45,19 @@ startsWith(std::string_view s, std::string_view prefix)
 std::string
 trim(std::string_view s)
 {
+    return std::string(trimView(s));
+}
+
+std::string_view
+trimView(std::string_view s)
+{
     size_t b = 0;
     size_t e = s.size();
     while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
         b++;
     while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
         e--;
-    return std::string(s.substr(b, e - b));
+    return s.substr(b, e - b);
 }
 
 std::string

@@ -26,6 +26,9 @@ bool startsWith(std::string_view s, std::string_view prefix);
 /** Strip leading and trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
+/** trim() without the copy: a view into @p s. */
+std::string_view trimView(std::string_view s);
+
 /** Left-pad @p s with spaces to at least @p width characters. */
 std::string padLeft(std::string_view s, size_t width);
 

@@ -23,20 +23,18 @@ appendInt(std::string &s, Int v)
     s.append(buf, end);
 }
 
-/** Append "i>j," for every pair of @p m, rows of @p n atoms in order. */
+/** Append "i>j," for every pair of @p m within n atoms, row-major. */
 void
 appendEdges(std::string &s, const BitMatrix &m, size_t n)
 {
-    for (size_t i = 0; i < n; i++) {
-        for (size_t j = 0; j < n; j++) {
-            if (m.test(i, j)) {
-                appendInt(s, i);
-                s += '>';
-                appendInt(s, j);
-                s += ',';
-            }
-        }
-    }
+    m.forEachPair([&](size_t i, size_t j) {
+        if (i >= n || j >= n)
+            return;
+        appendInt(s, i);
+        s += '>';
+        appendInt(s, j);
+        s += ',';
+    });
 }
 
 /** Append staticSerialize(@p test) to @p s. */
@@ -140,6 +138,54 @@ threadSignature(const LitmusTest &test, int tid)
         sig += '|';
     }
     return sig;
+}
+
+/**
+ * True iff permuteThreads(test, identity) returns @p test with every
+ * field equal: events numbered densely and grouped by ascending thread,
+ * locations and workgroup labels numbered in order of first use, and
+ * every relation over exactly test.size() atoms, the outcome's empty
+ * when there is none.
+ */
+bool
+isPermutationFixedPoint(const LitmusTest &test)
+{
+    const size_t n = test.size();
+    int tid = 0;
+    int next_loc = 0;
+    for (size_t i = 0; i < n; i++) {
+        const Event &e = test.events[i];
+        if (e.id != static_cast<int>(i) || e.tid < tid ||
+            e.tid >= test.numThreads)
+            return false;
+        tid = e.tid;
+        if (e.isMemory()) {
+            if (e.loc < 0 || e.loc > next_loc || e.loc >= test.numLocs)
+                return false;
+            if (e.loc == next_loc)
+                next_loc++;
+        }
+    }
+    if (test.hasWorkgroups()) {
+        if (test.threadWg.size() != static_cast<size_t>(test.numThreads))
+            return false;
+        int next_wg = 0;
+        for (int wg : test.threadWg) {
+            if (wg < 0 || wg > next_wg)
+                return false;
+            if (wg == next_wg)
+                next_wg++;
+        }
+    } else if (!test.threadWg.empty()) {
+        return false;
+    }
+    for (const BitMatrix *m : {&test.addrDep, &test.dataDep, &test.ctrlDep,
+                               &test.rmw, &test.forbidden.rf,
+                               &test.forbidden.co}) {
+        if (m->size() != n)
+            return false;
+    }
+    return test.hasForbidden || test.forbidden == Outcome(n);
 }
 
 void
@@ -259,15 +305,23 @@ canonicalize(const LitmusTest &test, CanonMode mode)
 {
     if (mode == CanonMode::Paper) {
         // Sort threads by their local signature; ties keep input order,
-        // which is exactly the WWC blind spot of Figure 14.
+        // which is exactly the WWC blind spot of Figure 14. One thread
+        // has one order, so it needs no signature.
         std::vector<int> order(test.numThreads);
         std::iota(order.begin(), order.end(), 0);
-        std::vector<std::string> sigs(test.numThreads);
-        for (int t = 0; t < test.numThreads; t++)
-            sigs[t] = threadSignature(test, t);
-        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-            return sigs[a] < sigs[b];
-        });
+        if (test.numThreads > 1) {
+            std::vector<std::string> sigs(test.numThreads);
+            for (int t = 0; t < test.numThreads; t++)
+                sigs[t] = threadSignature(test, t);
+            std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+                return sigs[a] < sigs[b];
+            });
+        }
+        // A test already in canonical form, as every synthesized one
+        // is, comes back as it is, without the remapping.
+        if (std::is_sorted(order.begin(), order.end()) &&
+            isPermutationFixedPoint(test))
+            return test;
         return permuteThreads(test, order);
     }
 

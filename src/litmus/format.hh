@@ -32,10 +32,16 @@
 namespace lts::litmus
 {
 
+class TextCursor;
+
 /** Serialize @p test (with its forbidden outcome, if any). */
 std::string writeLitmus(const LitmusTest &test);
 
-/** Serialize a whole suite, tests separated by blank lines. */
+/** Append a whole suite to @p out, tests separated by blank lines. */
+void appendLitmusSuite(std::string &out,
+                       const std::vector<LitmusTest> &tests);
+
+/** Write a whole suite, tests separated by blank lines. */
 void writeLitmusSuite(std::ostream &out,
                       const std::vector<LitmusTest> &tests);
 
@@ -46,9 +52,18 @@ void writeLitmusSuite(std::ostream &out,
 LitmusTest parseLitmus(const std::string &text);
 
 /**
- * Parse a suite (zero or more tests). Stops after @p max_tests tests,
- * leaving @p in positioned just past the last one's 'end' line, so a
- * stream can carry several suites back to back.
+ * Parse a suite (zero or more tests) from text in memory, in one pass
+ * over views into it. Stops after @p max_tests tests, leaving @p in
+ * just past the last one's 'end' line, so a text can carry several
+ * suites back to back. Diagnostics number lines from @p in's position.
+ */
+std::vector<LitmusTest> parseLitmusSuite(TextCursor &in,
+                                         size_t max_tests = SIZE_MAX);
+
+/**
+ * The same parse from a stream. Reads no further than the parse does:
+ * after @p max_tests tests @p in is positioned just past the last one's
+ * 'end' line.
  */
 std::vector<LitmusTest>
 parseLitmusSuite(std::istream &in, size_t max_tests = SIZE_MAX);

@@ -1,11 +1,43 @@
 #include "litmus/parse_util.hh"
 
-#include <cctype>
+#include <charconv>
 #include <istream>
 #include <stdexcept>
 
 namespace lts::litmus
 {
+
+void
+parseFail(const ParseSite &at, const std::string &why)
+{
+    std::string msg = "litmus parse error at line " + std::to_string(at.line);
+    if (!at.context.empty())
+        msg.append(", test '").append(at.context).append("'");
+    msg += ": " + why;
+    if (!at.text.empty())
+        msg.append(" in '").append(at.text).append("'");
+    throw std::runtime_error(msg);
+}
+
+int
+parseCount(const ParseSite &at, std::string_view s, std::string_view what)
+{
+    if (s.empty())
+        parseFail(at, "missing " + std::string(what));
+    for (char c : s) {
+        if (c < '0' || c > '9') {
+            parseFail(at, "bad " + std::string(what) + " '" +
+                              std::string(s) + "' (expected a number)");
+        }
+    }
+    int value = 0;
+    if (std::from_chars(s.data(), s.data() + s.size(), value).ec !=
+        std::errc()) {
+        parseFail(at, "bad " + std::string(what) + " '" + std::string(s) +
+                          "' (out of range)");
+    }
+    return value;
+}
 
 bool
 LineReader::next(std::string &line)
@@ -17,51 +49,23 @@ LineReader::next(std::string &line)
     return true;
 }
 
-namespace
-{
-
-[[noreturn]] void
-raise(int line_no, const std::string &context, const std::string &text,
-      const std::string &why)
-{
-    std::string msg = "litmus parse error at line " + std::to_string(line_no);
-    if (!context.empty())
-        msg += ", test '" + context + "'";
-    msg += ": " + why;
-    if (!text.empty())
-        msg += " in '" + text + "'";
-    throw std::runtime_error(msg);
-}
-
-} // namespace
-
 void
 LineReader::fail(const std::string &why) const
 {
-    raise(line_no, context, current, why);
+    parseFail(ParseSite{line_no, context, current}, why);
 }
 
 void
 LineReader::failAt(const SourceLine &at, const std::string &why) const
 {
-    raise(at.number, context, at.text, why);
+    parseFail(ParseSite{at.number, context, at.text}, why);
 }
 
 int
 LineReader::parseInt(const SourceLine &at, const std::string &s,
                      const std::string &what) const
 {
-    if (s.empty())
-        failAt(at, "missing " + what);
-    for (char c : s) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            failAt(at, "bad " + what + " '" + s + "' (expected a number)");
-    }
-    try {
-        return std::stoi(s);
-    } catch (const std::exception &) {
-        failAt(at, "bad " + what + " '" + s + "' (out of range)");
-    }
+    return parseCount(ParseSite{at.number, context, at.text}, s, what);
 }
 
 } // namespace lts::litmus

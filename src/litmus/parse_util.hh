@@ -14,6 +14,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace lts::litmus
 {
@@ -26,11 +27,66 @@ struct SourceLine
 };
 
 /**
- * Line-oriented input cursor that tracks position and test context so
- * every parse error can say *where* it happened. Parsers that buffer
- * lines for later processing (the interchange format applies deps and
- * the outcome only at 'end') remember them as SourceLine and report
- * through failAt().
+ * Where a diagnostic points: a line number, the test being parsed
+ * (empty when none) and the text to quote (empty quotes nothing).
+ */
+struct ParseSite
+{
+    int line = 0;
+    std::string_view context;
+    std::string_view text;
+};
+
+/** Throw the std::runtime_error every litmus parser reports with. */
+[[noreturn]] void parseFail(const ParseSite &at, const std::string &why);
+
+/**
+ * Parse a non-negative decimal integer out of @p s, failing at @p at
+ * with a positioned diagnostic instead of a bare std::stoi exception.
+ */
+int parseCount(const ParseSite &at, std::string_view s,
+               std::string_view what);
+
+/**
+ * Forward cursor over text held in memory. next() yields each line as a
+ * view into that text, split as std::getline splits a stream: without
+ * its '\n', and a last line needs none. Nothing is copied, so the text
+ * must outlive every view taken from it.
+ */
+class TextCursor
+{
+  public:
+    explicit TextCursor(std::string_view text) : text(text) {}
+
+    /** Read the next line; false at the end of the text. */
+    bool
+    next(std::string_view &line)
+    {
+        if (pos >= text.size())
+            return false;
+        size_t end = text.find('\n', pos);
+        if (end == std::string_view::npos)
+            end = text.size();
+        line = text.substr(pos, end - pos);
+        pos = end + 1;
+        line_no++;
+        return true;
+    }
+
+    /** Lines read so far: the number of the line next() gave last. */
+    int lineNumber() const { return line_no; }
+
+  private:
+    std::string_view text;
+    size_t pos = 0;
+    int line_no = 0;
+};
+
+/**
+ * Line-oriented input cursor over a stream that tracks position and test
+ * context so every parse error can say *where* it happened. Parsers
+ * that buffer lines for later processing remember them as SourceLine
+ * and report through failAt().
  */
 class LineReader
 {
@@ -48,7 +104,6 @@ class LineReader
 
     /** Name the test under construction (shown in diagnostics). */
     void setContext(const std::string &test_name) { context = test_name; }
-    void clearContext() { context.clear(); }
 
     /** Throw a parse error at the current line. */
     [[noreturn]] void fail(const std::string &why) const;
@@ -57,10 +112,7 @@ class LineReader
     [[noreturn]] void failAt(const SourceLine &at,
                              const std::string &why) const;
 
-    /**
-     * Parse a non-negative integer out of @p s, failing at @p at with a
-     * positioned diagnostic instead of a bare std::stoi exception.
-     */
+    /** parseCount() at a remembered line. */
     int parseInt(const SourceLine &at, const std::string &s,
                  const std::string &what) const;
 

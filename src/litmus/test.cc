@@ -106,7 +106,6 @@ LitmusTest::validate() const
     if (max_loc + 1 > numLocs)
         return "numLocs mismatch";
     // Dependencies: Read -> po-later same-thread event.
-    BitMatrix po = poMatrix();
     for (const auto *dep : {&addrDep, &dataDep, &ctrlDep}) {
         for (size_t i = 0; i < n; i++) {
             for (size_t j = 0; j < n; j++) {
@@ -114,7 +113,7 @@ LitmusTest::validate() const
                     continue;
                 if (!events[i].isRead())
                     return "dependency source is not a read";
-                if (!po.test(i, j))
+                if (j <= i || events[i].tid != events[j].tid)
                     return "dependency target not po-later";
             }
         }
@@ -336,6 +335,20 @@ TestBuilder::markForbidden()
     forceForbidden = true;
 }
 
+void
+TestBuilder::clear()
+{
+    pending.clear();
+    locNames.clear();
+    workgroups.clear();
+    threads = 0;
+    for (auto *edges :
+         {&addrDeps, &dataDeps, &ctrlDeps, &rmws, &rfEdges, &coEdges})
+        edges->clear();
+    initialReads.clear();
+    forceForbidden = false;
+}
+
 LitmusTest
 TestBuilder::build(const std::string &name)
 {
@@ -425,9 +438,12 @@ TestBuilder::build(const std::string &name)
         BitMatrix declared(n);
         for (auto [a, b] : coEdges)
             declared.set(old_to_new.at(a), old_to_new.at(b));
-        declared = declared.transitiveClosure();
+        if (!coEdges.empty())
+            declared = declared.transitiveClosure();
+        std::vector<int> writes, ordered;
+        std::vector<bool> taken;
         for (int loc = 0; loc < test.numLocs; loc++) {
-            std::vector<int> writes;
+            writes.clear();
             for (size_t i = 0; i < n; i++) {
                 if (test.events[i].isWrite() &&
                     test.events[i].loc == loc) {
@@ -437,8 +453,8 @@ TestBuilder::build(const std::string &name)
             // Topological completion: repeatedly take the smallest-id
             // write with no declared predecessor left (a stable_sort with
             // a partial order would not be a strict weak ordering).
-            std::vector<int> ordered;
-            std::vector<bool> taken(writes.size(), false);
+            ordered.clear();
+            taken.assign(writes.size(), false);
             while (ordered.size() < writes.size()) {
                 int pick = -1;
                 for (size_t i = 0; i < writes.size(); i++) {

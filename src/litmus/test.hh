@@ -214,6 +214,10 @@ class TestBuilder
      */
     void markForbidden();
 
+    /** Forget everything added so far, keeping the storage, so one
+     *  builder can assemble a run of tests. */
+    void clear();
+
     /**
      * Assemble the test. Events are renumbered so each thread's events
      * are contiguous; co is transitively closed; for locations whose

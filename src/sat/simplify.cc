@@ -578,6 +578,7 @@ Simplifier::tryEliminate(Var v)
                                     s.clauses[cref].lits().end());
     s.elimStack.push_back(std::move(record));
     s.elimFlags[v] = 1;
+    s.numEliminated++;
     s.statsData.eliminatedVars++;
 
     // Proof: every resolvent is RUP while both parents are live, so log

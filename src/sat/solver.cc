@@ -622,6 +622,14 @@ Solver::claBumpActivity(InternalClause &c)
 Lit
 Solver::pickBranchLit()
 {
+    // Every live variable assigned (eliminated ones never are): popping
+    // would drain the whole heap and find nothing, so empty it at once.
+    if (trail.size() + numEliminated == assigns.size()) {
+        for (Var v : heap)
+            heapIndex[v] = -1;
+        heap.clear();
+        return Lit();
+    }
     while (!heap.empty()) {
         Var v = heapRemoveMax();
         // Eliminated variables occur in no live clause; deciding them
@@ -811,6 +819,8 @@ SolveResult
 Solver::solve(const std::vector<Lit> &assumptions)
 {
     statsData.solves++;
+    for ([[maybe_unused]] Lit p : assumptions)
+        assert(!elimFlags[p.var()] && "assuming an eliminated variable");
     conflict.clear();
     hitBudget = false;
     if (!ok) {

@@ -524,6 +524,7 @@ class Solver
 
     std::vector<uint8_t> frozenFlags;   // per var: caller froze it
     std::vector<uint8_t> elimFlags;     // per var: eliminated by simplify()
+    size_t numEliminated = 0;           // variables with elimFlags set
     std::vector<ElimRecord> elimStack;
 
     DratWriter *proof = nullptr; ///< proof sink; not owned

@@ -4,12 +4,14 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/hash.hh"
 #include "common/strings.hh"
 #include "common/timer.hh"
 #include "litmus/digest.hh"
 #include "litmus/format.hh"
+#include "litmus/parse_util.hh"
 #include "mm/registry.hh"
 #include "synth/minimality.hh"
 
@@ -65,55 +67,62 @@ proofFileDigest(const std::string &path)
 class Reader
 {
   public:
-    explicit Reader(const std::string &text) : in(text) {}
+    explicit Reader(std::string_view text) : in(text) {}
 
     /** Next non-blank line; interchange text leaves blank separators
      *  behind after tests(), and keys are never empty. */
-    std::string
+    std::string_view
     line()
     {
-        std::string l;
-        while (std::getline(in, l)) {
-            if (!trim(l).empty())
+        std::string_view l;
+        while (in.next(l)) {
+            if (!trimView(l).empty())
                 return l;
         }
         throw std::runtime_error("service: truncated record");
     }
 
     /** "key rest-of-line"; throws when the key doesn't match. */
-    std::string
-    field(const std::string &key)
+    std::string_view
+    field(std::string_view key)
     {
-        std::string l = line();
-        if (l.size() < key.size() + 1 || l.compare(0, key.size(), key) != 0 ||
+        std::string_view l = line();
+        if (l.size() < key.size() + 1 || l.substr(0, key.size()) != key ||
             l[key.size()] != ' ') {
-            throw std::runtime_error("service: expected '" + key +
-                                     "' line, got '" + l + "'");
+            throw std::runtime_error("service: expected '" +
+                                     std::string(key) + "' line, got '" +
+                                     std::string(l) + "'");
         }
         return l.substr(key.size() + 1);
     }
 
-    uint64_t
-    u64(const std::string &key)
+    std::string
+    text(std::string_view key)
     {
-        return std::stoull(field(key));
+        return std::string(field(key));
+    }
+
+    uint64_t
+    u64(std::string_view key)
+    {
+        return std::stoull(text(key));
     }
 
     int
-    i32(const std::string &key)
+    i32(std::string_view key)
     {
-        return std::stoi(field(key));
+        return std::stoi(text(key));
     }
 
     double
-    f64(const std::string &key)
+    f64(std::string_view key)
     {
-        return std::stod(field(key));
+        return std::stod(text(key));
     }
 
     /**
-     * Parse exactly @p count tests and leave the stream positioned
-     * after them, so payloads can carry several suites back to back.
+     * Parse exactly @p count tests in place and leave the cursor after
+     * them, so payloads can carry several suites back to back.
      */
     std::vector<litmus::LitmusTest>
     tests(size_t count)
@@ -128,13 +137,31 @@ class Reader
         return suite;
     }
 
-    std::istringstream in;
+  private:
+    litmus::TextCursor in;
 };
 
+/** Append "key value\n" to a record. */
+template <typename Value>
 void
-writeTests(std::ostream &out, const std::vector<litmus::LitmusTest> &tests)
+appendField(std::string &out, std::string_view key, const Value &value)
 {
-    litmus::writeLitmusSuite(out, tests);
+    out += key;
+    out += ' ';
+    if constexpr (std::is_arithmetic_v<Value>)
+        out += std::to_string(value);
+    else
+        out += value;
+    out += '\n';
+}
+
+/** "%.6f", the precision every record carries seconds in. */
+std::string
+fixed6(double seconds)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.6f", seconds);
+    return buf;
 }
 
 // --- shard records ----------------------------------------------------------
@@ -142,21 +169,19 @@ writeTests(std::ostream &out, const std::vector<litmus::LitmusTest> &tests)
 std::string
 serializeShard(const ShardResult &shard)
 {
-    std::ostringstream out;
-    out << "shard " << kServiceFormat << "\n";
-    out << "raw " << shard.rawInstances << "\n";
-    out << "sbp " << shard.sbpClauses << "\n";
-    out << "truncated " << (shard.truncated ? 1 : 0) << "\n";
-    char secs[32];
-    std::snprintf(secs, sizeof secs, "%.6f", shard.seconds);
-    out << "seconds " << secs << "\n";
-    out << "tests " << shard.tests.size() << "\n";
-    writeTests(out, shard.tests);
-    return out.str();
+    std::string out;
+    appendField(out, "shard", kServiceFormat);
+    appendField(out, "raw", shard.rawInstances);
+    appendField(out, "sbp", shard.sbpClauses);
+    appendField(out, "truncated", shard.truncated ? 1 : 0);
+    appendField(out, "seconds", fixed6(shard.seconds));
+    appendField(out, "tests", shard.tests.size());
+    litmus::appendLitmusSuite(out, shard.tests);
+    return out;
 }
 
 ShardResult
-parseShard(const std::string &text)
+parseShard(std::string_view text)
 {
     Reader r(text);
     if (r.field("shard") != kServiceFormat)
@@ -212,11 +237,11 @@ parseManifest(const std::string &text, const std::vector<std::string> &axioms,
     if (r.field("manifest") != kServiceFormat)
         throw std::runtime_error("service: manifest format mismatch");
     Manifest m;
-    m.suiteDigest = r.field("digest");
+    m.suiteDigest = r.text("digest");
     if (r.u64("axioms") != axioms.size())
         throw std::runtime_error("service: manifest axiom count mismatch");
     for (const std::string &axiom : axioms) {
-        std::string head = r.field("axiom");
+        std::string head = r.text("axiom");
         size_t space = head.find(' ');
         if (space == std::string::npos || head.substr(space + 1) != axiom ||
             std::stoull(head.substr(0, space)) != n_sizes) {
@@ -225,7 +250,7 @@ parseManifest(const std::string &text, const std::vector<std::string> &axioms,
         }
         m.keys.emplace_back();
         for (size_t k = 0; k < n_sizes; k++)
-            m.keys.back().push_back(r.field("shard"));
+            m.keys.back().push_back(r.text("shard"));
     }
     return m;
 }
@@ -233,13 +258,13 @@ parseManifest(const std::string &text, const std::vector<std::string> &axioms,
 // --- suite (de)serialization for the Result payload -------------------------
 
 void
-serializeSuite(std::ostream &out, const Suite &suite)
+serializeSuite(std::string &out, const Suite &suite)
 {
-    out << "suite " << suite.axiom << "\n";
-    out << "model " << suite.model << "\n";
-    out << "raw " << suite.rawInstances << "\n";
-    out << "truncated " << (suite.truncated ? 1 : 0) << "\n";
-    out << "sizes " << suite.testsBySize.size() << "\n";
+    appendField(out, "suite", suite.axiom);
+    appendField(out, "model", suite.model);
+    appendField(out, "raw", suite.rawInstances);
+    appendField(out, "truncated", suite.truncated ? 1 : 0);
+    appendField(out, "sizes", suite.testsBySize.size());
     for (const auto &[size, count] : suite.testsBySize) {
         auto secs = suite.secondsBySize.count(size)
                         ? suite.secondsBySize.at(size)
@@ -254,23 +279,24 @@ serializeSuite(std::ostream &out, const Suite &suite)
         std::snprintf(line, sizeof line, "size %d %d %llu %llu %.6f", size,
                       count, static_cast<unsigned long long>(insts),
                       static_cast<unsigned long long>(sbp), secs);
-        out << line << "\n";
+        out += line;
+        out += '\n';
     }
-    out << "tests " << suite.tests.size() << "\n";
-    writeTests(out, suite.tests);
+    appendField(out, "tests", suite.tests.size());
+    litmus::appendLitmusSuite(out, suite.tests);
 }
 
 Suite
 parseSuite(Reader &r)
 {
     Suite suite;
-    suite.axiom = r.field("suite");
-    suite.model = r.field("model");
+    suite.axiom = r.text("suite");
+    suite.model = r.text("model");
     suite.rawInstances = r.u64("raw");
     suite.truncated = r.u64("truncated") != 0;
     size_t n_sizes = r.u64("sizes");
     for (size_t i = 0; i < n_sizes; i++) {
-        std::istringstream line(r.field("size"));
+        std::istringstream line(r.text("size"));
         int size = 0, count = 0;
         uint64_t insts = 0, sbp = 0;
         double secs = 0;
@@ -376,8 +402,8 @@ parseSuiteRequest(const std::string &text)
     if (r.field("request") != kServiceFormat)
         throw std::runtime_error("service: request format mismatch");
     SuiteRequest request;
-    request.model = r.field("model");
-    request.axiom = r.field("axiom");
+    request.model = r.text("model");
+    request.axiom = r.text("axiom");
     if (request.axiom == "union")
         request.axiom.clear();
     request.maxSize = r.i32("maxsize");
@@ -391,7 +417,7 @@ parseSuiteRequest(const std::string &text)
             "service: sizes " + std::to_string(o.minSize) + ".." +
             std::to_string(o.maxSize) + " not within 0 <= min <= max <= 7");
     }
-    std::string canon = r.field("canon");
+    std::string canon = r.text("canon");
     o.useCanon = canon != "off";
     o.canonMode = canon == "exact" ? litmus::CanonMode::Exact
                                    : litmus::CanonMode::Paper;
@@ -407,32 +433,39 @@ parseSuiteRequest(const std::string &text)
 std::string
 serializeSuiteResult(const SuiteResult &result)
 {
-    std::ostringstream out;
-    out << "result " << kServiceFormat << "\n";
-    out << "modeldigest " << result.modelDigest << "\n";
-    out << "optionsdigest " << result.optionsDigest << "\n";
-    out << "suitedigest " << result.suiteDigest << "\n";
-    out << "cache " << toString(result.cache) << "\n";
-    out << "shardscached " << result.shardsCached << "\n";
-    out << "shardssynthesized " << result.shardsSynthesized << "\n";
-    char secs[32];
-    std::snprintf(secs, sizeof secs, "%.6f", result.seconds);
-    out << "seconds " << secs << "\n";
+    std::string out;
+    appendField(out, "result", kServiceFormat);
+    appendField(out, "modeldigest", result.modelDigest);
+    appendField(out, "optionsdigest", result.optionsDigest);
+    appendField(out, "suitedigest", result.suiteDigest);
+    appendField(out, "cache", toString(result.cache));
+    appendField(out, "shardscached", result.shardsCached);
+    appendField(out, "shardssynthesized", result.shardsSynthesized);
+    appendField(out, "seconds", fixed6(result.seconds));
     const SynthProgressSnapshot &p = result.progress;
-    out << "progress " << p.jobsQueued << " " << p.conflicts << " "
-        << p.restarts << " " << p.instances << " " << p.sbpClauses << " "
-        << p.eliminatedVars << " " << p.subsumedClauses << "\n";
-    out << "provenance " << result.shards.size() << "\n";
-    for (const auto &s : result.shards) {
-        out << "shard " << s.size << " " << (s.cached ? 1 : 0) << " "
-            << s.tests << " "
-            << (s.proofDigest.empty() ? "-" : s.proofDigest) << " "
-            << escapeLine(s.axiom) << "\n";
+    out += "progress";
+    for (uint64_t v : {p.jobsQueued, p.conflicts, p.restarts, p.instances,
+                       p.sbpClauses, p.eliminatedVars, p.subsumedClauses}) {
+        out += ' ';
+        out += std::to_string(v);
     }
-    out << "suites " << result.suites.size() << "\n";
+    out += '\n';
+    appendField(out, "provenance", result.shards.size());
+    for (const auto &s : result.shards) {
+        out += "shard ";
+        out += std::to_string(s.size);
+        out += s.cached ? " 1 " : " 0 ";
+        out += std::to_string(s.tests);
+        out += ' ';
+        out += s.proofDigest.empty() ? "-" : s.proofDigest;
+        out += ' ';
+        out += escapeLine(s.axiom);
+        out += '\n';
+    }
+    appendField(out, "suites", result.suites.size());
     for (const auto &suite : result.suites)
         serializeSuite(out, suite);
-    return out.str();
+    return out;
 }
 
 SuiteResult
@@ -442,10 +475,10 @@ parseSuiteResult(const std::string &text)
     if (r.field("result") != kServiceFormat)
         throw std::runtime_error("service: result format mismatch");
     SuiteResult result;
-    result.modelDigest = r.field("modeldigest");
-    result.optionsDigest = r.field("optionsdigest");
-    result.suiteDigest = r.field("suitedigest");
-    std::string cache = r.field("cache");
+    result.modelDigest = r.text("modeldigest");
+    result.optionsDigest = r.text("optionsdigest");
+    result.suiteDigest = r.text("suitedigest");
+    std::string_view cache = r.field("cache");
     result.cache = cache == "hit"       ? CacheOutcome::Hit
                    : cache == "partial" ? CacheOutcome::Partial
                                         : CacheOutcome::Miss;
@@ -453,7 +486,7 @@ parseSuiteResult(const std::string &text)
     result.shardsSynthesized = r.u64("shardssynthesized");
     result.seconds = r.f64("seconds");
     {
-        std::istringstream line(r.field("progress"));
+        std::istringstream line(r.text("progress"));
         SynthProgressSnapshot &p = result.progress;
         if (!(line >> p.jobsQueued >> p.conflicts >> p.restarts >>
               p.instances >> p.sbpClauses >> p.eliminatedVars >>
@@ -463,7 +496,7 @@ parseSuiteResult(const std::string &text)
     }
     size_t n_shards = r.u64("provenance");
     for (size_t i = 0; i < n_shards; i++) {
-        std::istringstream line(r.field("shard"));
+        std::istringstream line(r.text("shard"));
         ShardProvenance s;
         int cached = 0;
         if (!(line >> s.size >> cached >> s.tests >> s.proofDigest))
@@ -603,12 +636,19 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
     // 2. One pass: load every shard record the keys name (a missing or
     //    unparseable record is a miss), synthesize the misses in one
     //    runSizeJobs call, assemble. Deterministic, so cached and fresh
-    //    shards produce byte-identical suites.
-    std::vector<std::vector<ShardResult>> shards;
+    //    shards produce byte-identical suites. Assembly moves the tests
+    //    out of the shards, so each shard's test count and, for a
+    //    synthesized one, its record bytes are taken first.
     std::vector<std::vector<bool>> from_store;
+    std::vector<std::vector<size_t>> test_counts;
+    std::vector<std::vector<std::string>> fresh_records;
     auto run_pass = [&](const KeyGrid &keys) {
-        shards.assign(axioms.size(), std::vector<ShardResult>(n_sizes));
+        std::vector<std::vector<ShardResult>> shards(
+            axioms.size(), std::vector<ShardResult>(n_sizes));
         from_store.assign(axioms.size(), std::vector<bool>(n_sizes, false));
+        test_counts.assign(axioms.size(), std::vector<size_t>(n_sizes, 0));
+        fresh_records.assign(axioms.size(),
+                             std::vector<std::string>(n_sizes));
         for (size_t ai = 0; suiteStore && ai < axioms.size(); ai++) {
             for (size_t si = 0; si < n_sizes; si++) {
                 auto bytes = suiteStore->get(keys[ai][si]);
@@ -647,15 +687,21 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                 emit("shard " + axioms[ai] + "@" + std::to_string(job.size) +
                      ": synthesized, " +
                      std::to_string(shards[ai][si].tests.size()) + " tests");
+                if (suiteStore)
+                    fresh_records[ai][si] = serializeShard(shards[ai][si]);
             }
+        }
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            for (size_t si = 0; si < n_sizes; si++)
+                test_counts[ai][si] = shards[ai][si].tests.size();
         }
 
         // Per-axiom suites in scope order, plus the union for full-scope
         // queries.
         result.suites.clear();
         for (size_t ai = 0; ai < axioms.size(); ai++) {
-            result.suites.push_back(
-                assembleShardSuite(model, axioms[ai], shards[ai], min_size));
+            result.suites.push_back(assembleShardSuite(
+                model, axioms[ai], std::move(shards[ai]), min_size));
         }
         if (full_scope)
             result.suites.push_back(unionSuites(result.suites, options));
@@ -682,8 +728,7 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
         for (size_t si = 0; si < n_sizes; si++) {
             ShardProvenance prov{axioms[ai],
                                  min_size + static_cast<int>(si),
-                                 from_store[ai][si],
-                                 shards[ai][si].tests.size(),
+                                 from_store[ai][si], test_counts[ai][si],
                                  std::string()};
             if (prov.cached) {
                 result.shardsCached++;
@@ -711,7 +756,7 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
             for (size_t si = 0; si < n_sizes; si++) {
                 if (from_store[ai][si])
                     continue;
-                suiteStore->put(keys[ai][si], serializeShard(shards[ai][si]));
+                suiteStore->put(keys[ai][si], fresh_records[ai][si]);
                 wrote = true;
             }
         }

@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <unordered_set>
 #include <utility>
 
 #include "common/pool.hh"
@@ -421,7 +422,8 @@ runSynthesisTracks(const mm::Model &model, const std::vector<Track> &tracks,
         by_size.reserve(jobs.size());
         for (SizeJob &job : jobs)
             by_size.push_back(std::move(job.shards[ti]));
-        suites.push_back(assembleShardSuite(model, tracks[ti].label, by_size,
+        suites.push_back(assembleShardSuite(model, tracks[ti].label,
+                                            std::move(by_size),
                                             options.minSize));
     }
     return suites;
@@ -468,10 +470,15 @@ unionSuites(const std::vector<Suite> &suites, const SynthOptions &options)
 {
     Suite u;
     u.axiom = "union";
-    std::set<std::string> seen;
+    size_t total = 0;
+    for (const auto &s : suites)
+        total += s.tests.size();
+    std::unordered_set<std::string> seen(total);
+    u.tests.reserve(total);
     for (const auto &s : suites) {
         if (u.model.empty())
             u.model = s.model;
+        const std::string prefix = u.model + "/union#";
         u.rawInstances += s.rawInstances;
         u.truncated = u.truncated || s.truncated;
         for (const auto &test : s.tests) {
@@ -479,12 +486,9 @@ unionSuites(const std::vector<Suite> &suites, const SynthOptions &options)
                                    ? litmus::canonicalize(test,
                                                           options.canonMode)
                                    : test;
-            std::string key = litmus::staticSerialize(canon);
-            if (seen.count(key))
+            if (!seen.insert(litmus::staticSerialize(canon)).second)
                 continue;
-            seen.insert(key);
-            canon.name = u.model + "/union#" +
-                         std::to_string(u.tests.size());
+            canon.name = prefix + std::to_string(u.tests.size());
             u.testsBySize[static_cast<int>(canon.size())]++;
             u.tests.push_back(std::move(canon));
         }
@@ -511,24 +515,34 @@ Suite
 assembleShardSuite(const mm::Model &model, const std::string &label,
                    const std::vector<ShardResult> &by_size, int min_size)
 {
+    return assembleShardSuite(model, label,
+                              std::vector<ShardResult>(by_size), min_size);
+}
+
+Suite
+assembleShardSuite(const mm::Model &model, const std::string &label,
+                   std::vector<ShardResult> &&by_size, int min_size)
+{
     Suite suite;
     suite.model = model.name();
     suite.axiom = label;
 
-    std::set<std::string> seen;
+    size_t total = 0;
+    for (const ShardResult &r : by_size)
+        total += r.tests.size();
+    std::unordered_set<std::string> seen(total);
+    suite.tests.reserve(total);
+    const std::string prefix = model.name() + "/" + label + "#";
     for (size_t si = 0; si < by_size.size(); si++) {
-        const ShardResult &r = by_size[si];
+        ShardResult &r = by_size[si];
         int size = min_size + static_cast<int>(si);
         int kept = 0;
-        for (const LitmusTest &test : r.tests) {
-            std::string key = litmus::staticSerialize(test);
-            if (seen.count(key))
+        for (LitmusTest &test : r.tests) {
+            if (!seen.insert(litmus::staticSerialize(test)).second)
                 continue;
-            seen.insert(key);
-            LitmusTest named = test;
-            named.name = model.name() + "/" + label + "#" +
-                         std::to_string(suite.tests.size());
-            suite.tests.push_back(std::move(named));
+            test.name = prefix;
+            test.name += std::to_string(suite.tests.size());
+            suite.tests.push_back(std::move(test));
             kept++;
         }
         suite.rawInstances += r.rawInstances;

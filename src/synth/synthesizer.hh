@@ -194,6 +194,10 @@ Suite assembleShardSuite(const mm::Model &model, const std::string &label,
                          const std::vector<ShardResult> &by_size,
                          int min_size);
 
+/** The same merge, moving the kept tests out of @p by_size. */
+Suite assembleShardSuite(const mm::Model &model, const std::string &label,
+                         std::vector<ShardResult> &&by_size, int min_size);
+
 /**
  * One query family to sweep over a size's encoding: the shard label (an
  * axiom name, or "union-direct") and its violation layer at a size.

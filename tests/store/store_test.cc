@@ -282,4 +282,37 @@ TEST(Crc32Test, IncrementalMatchesOneShot)
     EXPECT_EQ(store::crc32Final(crc), store::crc32("123456789"));
 }
 
+TEST(Crc32Test, EightByteStepsMatchByteAtATime)
+{
+    // crc32Update folds eight bytes per step; the reference folds one
+    // bit at a time. Every length up to three steps, at every alignment
+    // and split into two updates, must give the same value.
+    auto reference = [](const unsigned char *p, size_t len) {
+        uint32_t crc = 0xffffffffu;
+        for (size_t i = 0; i < len; i++) {
+            crc ^= p[i];
+            for (int k = 0; k < 8; k++)
+                crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+        }
+        return crc ^ 0xffffffffu;
+    };
+    unsigned char bytes[40];
+    for (size_t i = 0; i < sizeof bytes; i++)
+        bytes[i] = static_cast<unsigned char>(i * 97 + 13);
+    for (size_t offset = 0; offset < 8; offset++) {
+        for (size_t len = 0; offset + len <= 32; len++) {
+            const unsigned char *p = bytes + offset;
+            uint32_t want = reference(p, len);
+            EXPECT_EQ(store::crc32(std::string_view(
+                          reinterpret_cast<const char *>(p), len)),
+                      want)
+                << "offset " << offset << " length " << len;
+            size_t cut = len / 3;
+            uint32_t crc = store::crc32Update(store::crc32Init(), p, cut);
+            crc = store::crc32Update(crc, p + cut, len - cut);
+            EXPECT_EQ(store::crc32Final(crc), want);
+        }
+    }
+}
+
 } // namespace

@@ -14,10 +14,12 @@
 
 #include <filesystem>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "litmus/canon.hh"
 #include "litmus/digest.hh"
+#include "litmus/format.hh"
 #include "mm/registry.hh"
 #include "rel/formula.hh"
 #include "store/store.hh"
@@ -334,6 +336,102 @@ TEST_F(ServiceTest, ManifestMissingAShardSynthesizesOnlyThatShard)
         EXPECT_EQ(again.shardsSynthesized, 0u);
         EXPECT_EQ(again.suiteDigest, cold.suiteDigest);
     }
+}
+
+TEST_F(ServiceTest, PartialQueryPersistsColdShardBytesAndCounts)
+{
+    // Assembly moves the tests out of every shard, so a partial query
+    // must take what it persists and counts first: the shards it
+    // synthesizes are stored with the test bytes a cold query stores,
+    // which are the tests synthesizeAll finds at that size, and each
+    // provenance entry counts its shard record's tests.
+    auto testsOf = [](const std::string &record) {
+        size_t at = record.find("\ntests ");
+        EXPECT_NE(at, std::string::npos) << record;
+        return record.substr(at + 1); // the "tests N" line and the tests
+    };
+    synth::SuiteRequest full;
+    full.model = "tso";
+    full.maxSize = 4;
+    synth::SuiteRequest smaller = full;
+    smaller.maxSize = 3;
+    synth::SynthOptions options;
+    options.maxSize = full.maxSize;
+    const std::vector<synth::Suite> reference =
+        synth::synthesizeAll(*mm::makeModel("tso"), options);
+    auto referenceTests = [&](const std::string &axiom, int size) {
+        std::vector<std::string> keys;
+        for (const synth::Suite &suite : reference) {
+            for (const auto &t : suite.tests) {
+                if (suite.axiom == axiom &&
+                    t.size() == static_cast<size_t>(size))
+                    keys.push_back(litmus::fullSerialize(t));
+            }
+        }
+        return keys;
+    };
+    auto recordTests = [&](const std::string &record) {
+        std::istringstream in(testsOf(record));
+        std::string count_line;
+        std::getline(in, count_line);
+        std::vector<std::string> keys;
+        for (const auto &t : litmus::parseLitmusSuite(in))
+            keys.push_back(litmus::fullSerialize(t));
+        return keys;
+    };
+
+    const std::string cold_dir = dir + ".cold";
+    fs::remove_all(cold_dir);
+    synth::ServiceConfig cold_config;
+    cold_config.storeDir = cold_dir;
+    EXPECT_EQ(synth::Service(cold_config).query(full).cache,
+              synth::CacheOutcome::Miss);
+    store::SuiteStore cold(cold_dir);
+
+    for (bool resident : {false, true}) {
+        SCOPED_TRACE(resident ? "resident" : "one-shot");
+        fs::remove_all(dir);
+        synth::SuiteResult partial;
+        {
+            synth::Service service(storeConfig(resident));
+            service.query(smaller);
+            partial = service.query(full);
+        }
+        EXPECT_EQ(partial.cache, synth::CacheOutcome::Partial);
+        EXPECT_GT(partial.shardsSynthesized, 0u);
+        EXPECT_GT(partial.shardsCached, 0u);
+
+        // The full query's manifest lists its shard keys in provenance
+        // order: axioms in scope order, sizes ascending within each.
+        store::SuiteStore warm(dir);
+        std::string manifest;
+        for (const std::string &key : warm.keys()) {
+            if (key.rfind("suite/", 0) == 0 &&
+                key.find("/n2-4/") != std::string::npos)
+                manifest = warm.get(key).value_or("");
+        }
+        std::vector<std::string> keys;
+        std::istringstream lines(manifest);
+        for (std::string line; std::getline(lines, line);) {
+            if (line.rfind("shard ", 0) == 0)
+                keys.push_back(line.substr(6));
+        }
+        ASSERT_EQ(keys.size(), partial.shards.size()) << manifest;
+        for (size_t i = 0; i < keys.size(); i++) {
+            const synth::ShardProvenance &prov = partial.shards[i];
+            SCOPED_TRACE(prov.axiom + "@" + std::to_string(prov.size));
+            std::optional<std::string> record = warm.get(keys[i]);
+            std::optional<std::string> stored_cold = cold.get(keys[i]);
+            ASSERT_TRUE(record && stored_cold);
+            EXPECT_EQ(testsOf(*record), testsOf(*stored_cold));
+            EXPECT_EQ(recordTests(*record),
+                      referenceTests(prov.axiom, prov.size));
+            EXPECT_EQ(testsOf(*record).rfind(
+                          "tests " + std::to_string(prov.tests) + "\n", 0),
+                      0u);
+        }
+    }
+    fs::remove_all(cold_dir);
 }
 
 TEST_F(ServiceTest, ManifestDigestMismatchIsRewritten)
