@@ -452,6 +452,9 @@ RelSolver::addFact(const FormulaPtr &f)
 void
 RelSolver::retract(FactHandle h)
 {
+    if (std::find(witness.layers.begin(), witness.layers.end(), h) !=
+        witness.layers.end())
+        witness = Witness();
     solver.release(h);
     liveFacts.erase(std::remove(liveFacts.begin(), liveFacts.end(), h),
                     liveFacts.end());
@@ -623,8 +626,9 @@ RelSolver::pushPins(const Instance &src, const std::vector<char> &fixed,
     }
 }
 
-void
-RelSolver::lexWalk(std::vector<sat::Lit> &assume, const std::vector<char> &fixed)
+bool
+RelSolver::lexWalk(sat::Solver &probe, std::vector<sat::Lit> &assume,
+                   const std::vector<char> &fixed)
 {
     const Vocabulary &vocab = enc.vocabulary();
     size_t n = enc.universe();
@@ -634,33 +638,52 @@ RelSolver::lexWalk(std::vector<sat::Lit> &assume, const std::vector<char> &fixed
     // assumption solve: Sat means false works (and the new model becomes
     // best-so-far), Unsat means the cell is forced true. Witness
     // relations are sparse, so only a handful of solves happen per call.
+    // A budget-cut solve proves neither, so it ends the walk unfinished.
     auto tryCell = [&](sat::Var v, bool val) {
-        if (!val) {
-            assume.push_back(sat::Lit(v, true));
-            return;
-        }
         assume.push_back(sat::Lit(v, true));
-        if (solver.solve(assume) == sat::SolveResult::Sat)
-            lastInstance = enc.extract(solver);
-        else
+        if (!val)
+            return true;
+        sat::SolveResult res = solver.solveProbe(probe, assume);
+        if (res == sat::SolveResult::Sat)
+            lastInstance = enc.extract(probe);
+        else if (res == sat::SolveResult::Unsat)
             assume.back() = sat::Lit(v, false);
+        return res != sat::SolveResult::BudgetExhausted;
     };
     for (size_t id = 0; id < vocab.size(); id++) {
         if (fixed[id])
             continue;
         const VarDecl &d = vocab.decl(static_cast<int>(id));
         if (d.arity == 1) {
-            for (size_t i = 0; i < n; i++)
-                tryCell(enc.cellVar(d.id, i), lastInstance.set(d.id).test(i));
+            for (size_t i = 0; i < n; i++) {
+                if (!tryCell(enc.cellVar(d.id, i),
+                             lastInstance.set(d.id).test(i)))
+                    return false;
+            }
         } else {
             for (size_t i = 0; i < n; i++) {
                 for (size_t j = 0; j < n; j++) {
-                    tryCell(enc.cellVar(d.id, i, j),
-                            lastInstance.matrix(d.id).test(i, j));
+                    if (!tryCell(enc.cellVar(d.id, i, j),
+                                 lastInstance.matrix(d.id).test(i, j)))
+                        return false;
                 }
             }
         }
     }
+    return true;
+}
+
+sat::Solver &
+RelSolver::witnessFor(const std::vector<FactHandle> &layers)
+{
+    uint64_t revision = solver.revision(layers);
+    if (!witness.solver || witness.layers != layers ||
+        witness.revision != revision) {
+        witness.solver = solver.restrictedCopy(layers);
+        witness.layers = layers;
+        witness.revision = revision;
+    }
+    return *witness.solver;
 }
 
 bool
@@ -672,17 +695,13 @@ RelSolver::pinAndMinimize(const Instance &pin,
     for (int id : pinned_var_ids)
         fixed[static_cast<size_t>(id)] = 1;
 
+    sat::Solver &probe = witnessFor(layers);
     std::vector<sat::Lit> assume;
-    for (FactHandle h : layers) {
-        assert(!solver.isReleased(h));
-        assume.push_back(solver.groupLit(h));
-    }
     pushPins(pin, fixed, assume);
-    if (solver.solve(assume) != sat::SolveResult::Sat)
+    if (solver.solveProbe(probe, assume) != sat::SolveResult::Sat)
         return false;
-    lastInstance = enc.extract(solver);
-    lexWalk(assume, fixed);
-    return true;
+    lastInstance = enc.extract(probe);
+    return lexWalk(probe, assume, fixed);
 }
 
 } // namespace lts::rel

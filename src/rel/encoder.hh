@@ -24,6 +24,7 @@
 #ifndef LTS_REL_ENCODER_HH
 #define LTS_REL_ENCODER_HH
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -210,13 +211,26 @@ class RelSolver
      * order, cells row-major, false before true) under exactly the
      * given fact layers — not the full live set, so enumeration-only
      * layers (symmetry breaking, blocking) can be left out. Returns
-     * false when no completion exists (or a conflict budget ran out); on
-     * success instance() holds the result, which is a pure function of
-     * the pinned assignment and the active constraint set.
+     * false when no completion exists or the conflict budget ran out
+     * before the walk finished; on success instance() holds the result,
+     * which is a pure function of the pinned assignment and the active
+     * constraint set.
+     *
+     * The solves run on a private witness solver, a
+     * sat::Solver::restrictedCopy holding only the base encoding and
+     * @p layers, so they neither disturb the enumeration solver's trail
+     * and learnt clauses nor enter its DRAT proof. Their search is
+     * charged to satSolver()'s stats and budget. The copy is built on
+     * the first call for a layer set and reused until the layer set
+     * changes, the solver gains a variable or a permanent clause, or
+     * one of the layers is retracted, which frees it.
      */
     bool pinAndMinimize(const Instance &pin,
                         const std::vector<int> &pinned_var_ids,
                         const std::vector<FactHandle> &layers);
+
+    /** The current witness solver, or nullptr when none is held. */
+    const sat::Solver *witnessSolver() const { return witness.solver.get(); }
 
     /**
      * Exclude the last instance's assignment to @p var_ids (all declared
@@ -259,14 +273,24 @@ class RelSolver
   private:
     void pushPins(const Instance &src, const std::vector<char> &fixed,
                   std::vector<sat::Lit> &assume) const;
-    void lexWalk(std::vector<sat::Lit> &assume,
+    bool lexWalk(sat::Solver &probe, std::vector<sat::Lit> &assume,
                  const std::vector<char> &fixed);
+    sat::Solver &witnessFor(const std::vector<FactHandle> &layers);
+
+    /** The private solver pinAndMinimize runs on, and what it copied. */
+    struct Witness
+    {
+        std::unique_ptr<sat::Solver> solver;
+        std::vector<FactHandle> layers;
+        uint64_t revision = 0; ///< solver.revision(layers) at the copy
+    };
 
     sat::Solver solver;
     GateBuilder builder;
     Encoder enc;
     Instance lastInstance;
     std::vector<FactHandle> liveFacts;
+    Witness witness;
 };
 
 } // namespace lts::rel

@@ -216,6 +216,53 @@ TEST(SynthesizerTest, ConflictBudgetTruncates)
     EXPECT_TRUE(suite.truncated);
 }
 
+TEST(SynthesizerTest, BudgetCutShardsAreTruncatedOrExact)
+{
+    // A budget can run out inside a witness's lex walk as well as in an
+    // enumeration solve. A cut walk step proves nothing about its cell,
+    // so it must truncate the shard rather than settle the cell and emit
+    // a non-minimal witness: under a budget, a shard not flagged
+    // truncated holds exactly the tests of the unbudgeted run. The
+    // budgets stride past the conflicts of scc's size-3 tracks.
+    auto scc = mm::makeModel("scc");
+    auto run = [&](uint64_t budget) {
+        std::vector<SizeJob> jobs(1);
+        jobs[0].size = 3;
+        for (const mm::Axiom &axiom : scc->axioms())
+            jobs[0].tracks.push_back(axiomTrack(*scc, axiom.name));
+        SynthOptions opt;
+        opt.jobs = 1;
+        opt.conflictBudget = budget;
+        runSizeJobs(*scc, jobs, opt);
+        std::vector<std::vector<std::string>> out;
+        std::vector<bool> truncated;
+        for (const ShardResult &shard : jobs[0].shards) {
+            out.emplace_back();
+            for (const LitmusTest &t : shard.tests)
+                out.back().push_back(litmus::fullSerialize(t));
+            truncated.push_back(shard.truncated);
+        }
+        return std::make_pair(out, truncated);
+    };
+    auto [full, full_truncated] = run(0);
+    ASSERT_FALSE(full.empty());
+    size_t cut = 0;
+    for (uint64_t budget = 1; budget <= 120; budget += 7) {
+        auto [tests, truncated] = run(budget);
+        ASSERT_EQ(tests.size(), full.size());
+        for (size_t i = 0; i < tests.size(); i++) {
+            ASSERT_FALSE(full_truncated[i]);
+            if (truncated[i]) {
+                cut++;
+                continue;
+            }
+            EXPECT_EQ(tests[i], full[i])
+                << "shard " << i << ", budget " << budget;
+        }
+    }
+    EXPECT_GT(cut, 0u);
+}
+
 TEST(SynthesizerTest, MaxTestsPerSizeCaps)
 {
     auto tso = mm::makeModel("tso");
