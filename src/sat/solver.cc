@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <new>
@@ -206,7 +207,6 @@ Solver::addClause(Group g, Clause lits)
 bool
 Solver::addClauseInternal(Clause lits, Group group)
 {
-    cancelUntil(0);
     if (!ok)
         return false;
 
@@ -217,20 +217,26 @@ Solver::addClauseInternal(Clause lits, Group group)
     // differs, so later deletions match a clause the checker has.
     if (proof)
         proof->addInput(lits);
-    // Dedupe; drop clause on tautology; drop level-0 falsified literals.
+    // Dedupe; drop clause on tautology; drop root-falsified literals.
+    // Only root values count here: values above the root are search
+    // state, which the placement below reconciles with the clause.
+    auto root_value = [&](Lit l) {
+        return levels[l.var()] == 0 ? value(l) : LBool::Undef;
+    };
     std::vector<Lit> out;
     Lit prev;
     for (Lit l : lits) {
         assert(l.var() < numVars());
         assert(!elimFlags[l.var()] &&
                "clause refers to an eliminated variable");
-        if (value(l) == LBool::True || (prev.valid() && l == ~prev))
+        if (root_value(l) == LBool::True || (prev.valid() && l == ~prev))
             return true; // satisfied or tautological
-        if (value(l) != LBool::False && l != prev)
+        if (root_value(l) != LBool::False && l != prev)
             out.push_back(l);
         prev = l;
     }
     if (out.empty()) {
+        cancelUntil(0);
         ok = false;
         return false;
     }
@@ -242,15 +248,64 @@ Solver::addClauseInternal(Clause lits, Group group)
         // For a group clause this can only be the guard literal itself
         // (the body was root-falsified): the group becomes permanently
         // inactive, which is the correct residue of an absurd layer.
+        cancelUntil(0);
         uncheckedEnqueue(out[0], kNoReason);
         ok = (propagate() == kNoReason);
         return ok;
     }
-    ClauseRef cref = allocClause(std::move(out), false);
+    // Watch the non-false literals first, then the false ones by
+    // decreasing level; at the root every literal is unassigned and the
+    // sorted order stands.
+    if (decisionLevel() > 0) {
+        auto rank = [&](Lit l) {
+            return value(l) == LBool::False ? levels[l.var()] : INT_MAX;
+        };
+        std::stable_sort(out.begin(), out.end(),
+                         [&](Lit a, Lit b) { return rank(a) > rank(b); });
+    }
+    ClauseRef cref = allocClause(out, false);
     attachClause(cref);
     if (group != kNoGroup)
         groups[group].clauseRefs.push_back(cref);
+    // Backtrack only as far as the clause needs. With its second watch
+    // false, at most one literal is not false, and the clause must stand
+    // where unit propagation would have left it.
+    if (value(out[1]) == LBool::False) {
+        int high = levels[out[1].var()]; // highest false level but out[0]'s
+        LBool first = value(out[0]);
+        int first_level = levels[out[0].var()];
+        if (first == LBool::False && first_level == high) {
+            // Falsified, highest level tied: both watches come free.
+            cancelUntil(high - 1);
+        } else if (first != LBool::True || first_level > high) {
+            // Falsified with a unique highest level, unit, or true above
+            // the level that implies it: assert it there.
+            cancelUntil(high);
+            uncheckedEnqueue(out[0], cref);
+        }
+    }
+    assert(placedOnTrail(clauses[cref].lits()) &&
+           "a clause added above the root is falsified or missed a unit");
     return true;
+}
+
+bool
+Solver::placedOnTrail(std::span<const Lit> lits) const
+{
+    int open = 0;
+    int high = 0;
+    Lit open_lit;
+    for (Lit l : lits) {
+        if (value(l) == LBool::False) {
+            high = std::max(high, levels[l.var()]);
+        } else {
+            open++;
+            open_lit = l;
+        }
+    }
+    if (open != 1)
+        return open > 1;
+    return value(open_lit) == LBool::True && levels[open_lit.var()] <= high;
 }
 
 // ---------------------------------------------------------------------------
@@ -833,13 +888,18 @@ Solver::solve(const std::vector<Lit> &assumptions)
     // Reuse the levels the last call kept: level i+1 holds assumption i,
     // so every level within the common prefix of the old and the new
     // assumptions is exactly what re-assuming that prefix would build.
-    // Search resumes above it as if it had just decided the prefix.
+    // Search resumes above it as if it had just decided the prefix. A
+    // Sat answer also keeps its free decisions, so the trail can be
+    // deeper than either vector; under the same assumptions search
+    // resumes on all of it.
     int kept = 0;
-    int reusable = std::min(decisionLevel(),
-                            static_cast<int>(assumptions.size()));
+    int reusable = std::min({decisionLevel(),
+                             static_cast<int>(assumptions.size()),
+                             static_cast<int>(assumptionsVec.size())});
     while (kept < reusable && assumptionsVec[kept] == assumptions[kept])
         kept++;
-    cancelUntil(kept);
+    if (assumptions != assumptionsVec)
+        cancelUntil(kept);
     statsData.keptLevels += static_cast<uint64_t>(kept);
     assumptionsVec = assumptions;
     maxLearnts = std::max(static_cast<double>(numProblemClauses) / 3.0,
@@ -852,9 +912,13 @@ Solver::solve(const std::vector<Lit> &assumptions)
         status = search(static_cast<int64_t>(base));
         curr_restarts++;
     }
-    // Keep the assumption levels for the next call; free decisions go.
-    // An inconsistent solver never searches again.
-    cancelUntil(!ok ? 0 : static_cast<int>(assumptionsVec.size()));
+    // A Sat answer keeps its whole trail for the next call; any other
+    // keeps the assumption levels. An inconsistent solver never searches
+    // again.
+    if (!ok)
+        cancelUntil(0);
+    else if (status != LBool::True)
+        cancelUntil(static_cast<int>(assumptionsVec.size()));
     if (status == LBool::True) {
         lastResult = SolveResult::Sat;
         haveModel = true;

@@ -8,7 +8,8 @@
  * analysis with recursive clause minimization, VSIDS decision heuristics
  * with phase saving, Luby-sequence restarts, LBD-aware learned-clause
  * deletion, and incremental solving under assumptions whose decision
- * levels carry over between calls.
+ * levels, and after a Sat answer the whole trail, carry over between
+ * calls.
  *
  * The solver is built for *retractable* incremental use: clauses may be
  * added between solve() calls (how the synthesizer's enumeration loop
@@ -133,6 +134,18 @@ class Solver
      * Add a permanent clause. Returns false if the clause (together with
      * prior top-level facts) makes the formula trivially unsatisfiable.
      * May be called between solve() calls.
+     *
+     * The clause lands where the solver stands. It is normalized against
+     * root values only; a unit left by that goes to the root. A longer
+     * clause watches its non-false literals first, then its false ones
+     * by decreasing level, and the solver backtracks only as far as the
+     * clause needs: a falsified clause with a unique highest level
+     * backtracks to its second-highest level and asserts the highest
+     * literal there, one whose highest level is tied backtracks one level
+     * below it, and a clause left unit backtracks to its highest false
+     * literal's level and asserts the remaining literal there, unless it
+     * is already true at or below that level. An enumeration loop's
+     * blocking clause thus costs a backjump, not a fresh descent.
      */
     bool addClause(Clause lits);
 
@@ -152,8 +165,9 @@ class Solver
 
     /**
      * Add a clause guarded by group @p g (the clause is augmented with
-     * the negated activation literal). Returns false only if the solver
-     * is already in a top-level conflict.
+     * the negated activation literal) and place it as addClause(lits)
+     * does. Returns false only if the solver is already in a top-level
+     * conflict.
      */
     bool addClause(Group g, Clause lits);
 
@@ -284,12 +298,15 @@ class Solver
      * Solve under the given assumption literals. The assumptions hold
      * only for this call, but their decision levels outlive it: on
      * return the solver keeps level i+1 (assumption i and its
-     * propagations) for every assumption it reached, and the next call
-     * backtracks only to the longest common prefix of the two assumption
-     * vectors. A caller that extends the previous vector by one literal
-     * pays only for that literal's propagation. Every mutator that needs
-     * the root (clause additions, release, simplify, ...) drops the kept
-     * levels first; a solver found inconsistent returns at level 0.
+     * propagations) for every assumption it reached, and a Sat answer
+     * keeps its free decisions above them too. The next call with the
+     * same assumptions resumes on that trail; with different ones it
+     * backtracks to the longest common prefix of the two vectors. A
+     * caller that extends the previous vector by one literal pays only
+     * for that literal's propagation, and one that blocks the model and
+     * solves again pays only for the backjump addClause made. Mutators
+     * that need the root (unit clauses, release, simplify, ...) drop the
+     * kept levels first; a solver found inconsistent returns at level 0.
      * Reuse never changes an answer.
      */
     SolveResult solve(const std::vector<Lit> &assumptions);
@@ -365,6 +382,7 @@ class Solver
 
   private:
     friend class Simplifier; ///< the preprocessing pass (simplify.cc)
+    friend struct TrailInspector; ///< clause-placement tests read the trail
 
     /** Dense clause id: index into groups[].clauseRefs, learnts, reasons. */
     using ClauseRef = int32_t;
@@ -466,6 +484,9 @@ class Solver
     void removeClause(ClauseRef cref);
     void maybeCompactArena();
     bool addClauseInternal(Clause lits, Group group);
+    /** Debug check of a clause just placed on the trail: not falsified,
+     *  and if unit, its literal is true no higher than its false ones. */
+    bool placedOnTrail(std::span<const Lit> lits) const;
 
     // --- assignment trail -----------------------------------------------
     LBool value(Var v) const { return assigns[v]; }

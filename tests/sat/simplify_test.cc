@@ -37,7 +37,12 @@ enumerateModels(Solver &s, const std::vector<Var> &vars)
             m.push_back(s.modelValue(v));
             blocking.push_back(Lit(v, s.modelValue(v)));
         }
-        EXPECT_TRUE(models.insert(m).second) << "duplicate model";
+        // A model that comes back was not blocked: stop, or a solver
+        // that ignores its blocking clauses would loop here forever.
+        if (!models.insert(m).second) {
+            ADD_FAILURE() << "duplicate model";
+            break;
+        }
         if (!s.addClause(blocking))
             break;
     }

@@ -11,13 +11,45 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "sat/solver.hh"
 
 namespace lts::sat
 {
+
+/** Read-only view of a solver's trail, for the clause-placement tests. */
+struct TrailInspector
+{
+    static int decisionLevel(const Solver &s) { return s.decisionLevel(); }
+
+    /** Level of @p l if it is true on the trail, -1 otherwise. */
+    static int
+    trueAt(const Solver &s, Lit l)
+    {
+        return s.value(l) == LBool::True ? s.levels[l.var()] : -1;
+    }
+
+    static bool
+    unassigned(const Solver &s, Var v)
+    {
+        return s.value(v) == LBool::Undef;
+    }
+
+    /** The literals of @p v's reason clause; empty for a decision. */
+    static Clause
+    reason(const Solver &s, Var v)
+    {
+        if (s.reasons[v] == Solver::kNoReason)
+            return {};
+        auto lits = s.clauses[s.reasons[v]].lits();
+        return Clause(lits.begin(), lits.end());
+    }
+};
+
 namespace
 {
 
@@ -675,22 +707,272 @@ TEST(SolverTest, AssumptionLevelsSurviveOnlyTheCommonPrefix)
     EXPECT_EQ(s.stats().keptLevels, 3u);
     EXPECT_TRUE(s.modelValue(b));
     EXPECT_FALSE(s.modelValue(c));
-    // A clause addition drops every kept level before it lands.
+    // A unit clause goes to the root, dropping every kept level.
     ASSERT_TRUE(s.addClause({Lit::neg(d)}));
     ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(d)}), SolveResult::Unsat);
     EXPECT_EQ(s.stats().keptLevels, 3u);
     EXPECT_EQ(s.stats().solves, 4u);
 }
 
+TEST(SolverTest, FalsifiedClauseBacktracksToItsSecondHighestLevel)
+{
+    using T = TrailInspector;
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar(), d = s.newVar();
+    std::vector<Lit> assume = {Lit::pos(a), Lit::pos(b), Lit::pos(c),
+                               Lit::pos(d)};
+    ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+    ASSERT_EQ(T::decisionLevel(s), 4);
+    // False at levels 1, 3 and 4: the level-4 literal is asserted at 3.
+    ASSERT_TRUE(s.addClause({Lit::neg(a), Lit::neg(c), Lit::neg(d)}));
+    EXPECT_EQ(T::decisionLevel(s), 3);
+    EXPECT_EQ(T::trueAt(s, Lit::neg(d)), 3);
+    EXPECT_EQ(T::reason(s, d),
+              (Clause{Lit::neg(d), Lit::neg(c), Lit::neg(a)}));
+    // The same assumptions resume on the kept levels and hit ~d.
+    ASSERT_EQ(s.solve(assume), SolveResult::Unsat);
+    EXPECT_EQ(s.stats().keptLevels, 3u);
+}
+
+TEST(SolverTest, FalsifiedClauseWithTiedLevelsBacktracksBelowThem)
+{
+    using T = TrailInspector;
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar(), e = s.newVar();
+    ASSERT_TRUE(s.addClause({Lit::neg(c), Lit::pos(e)}));
+    std::vector<Lit> assume = {Lit::pos(a), Lit::pos(b), Lit::pos(c)};
+    ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+    ASSERT_EQ(T::decisionLevel(s), 3);
+    ASSERT_EQ(T::trueAt(s, Lit::pos(e)), 3);
+    // c and e both sit at level 3: no literal is implied, both watches
+    // come free one level below.
+    ASSERT_TRUE(s.addClause({Lit::neg(a), Lit::neg(c), Lit::neg(e)}));
+    EXPECT_EQ(T::decisionLevel(s), 2);
+    EXPECT_TRUE(T::unassigned(s, c));
+    EXPECT_TRUE(T::unassigned(s, e));
+    EXPECT_EQ(T::trueAt(s, Lit::pos(b)), 2);
+    ASSERT_EQ(s.solve(assume), SolveResult::Unsat);
+    ASSERT_EQ(s.solve({Lit::pos(a), Lit::pos(b)}), SolveResult::Sat);
+    EXPECT_FALSE(s.modelValue(c));
+}
+
+TEST(SolverTest, UnitClauseIsAssertedAtItsHighestFalseLevel)
+{
+    using T = TrailInspector;
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar(), d = s.newVar();
+    std::vector<Lit> assume = {Lit::pos(a), Lit::pos(b), Lit::pos(c),
+                               Lit::pos(d)};
+    ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+    // A variable made after the answer is unassigned: the clause is unit
+    // under levels 1 and 2 and is asserted at 2, below the current 4.
+    Var x = s.newVar();
+    ASSERT_TRUE(s.addClause({Lit::pos(x), Lit::neg(a), Lit::neg(b)}));
+    EXPECT_EQ(T::decisionLevel(s), 2);
+    EXPECT_EQ(T::trueAt(s, Lit::pos(x)), 2);
+    EXPECT_EQ(T::reason(s, x),
+              (Clause{Lit::pos(x), Lit::neg(b), Lit::neg(a)}));
+    EXPECT_TRUE(T::unassigned(s, c));
+    EXPECT_TRUE(T::unassigned(s, d));
+    ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+    EXPECT_TRUE(s.modelValue(x));
+}
+
+TEST(SolverTest, TrueLiteralAboveItsFalseOnesIsReassertedLower)
+{
+    using T = TrailInspector;
+    Solver s;
+    Var a = s.newVar(), b = s.newVar(), c = s.newVar(), d = s.newVar();
+    std::vector<Lit> assume = {Lit::pos(a), Lit::pos(b), Lit::pos(c),
+                               Lit::pos(d)};
+    ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+    // True at 2, false at 3: already where propagation would put it.
+    ASSERT_TRUE(s.addClause({Lit::pos(b), Lit::neg(c)}));
+    EXPECT_EQ(T::decisionLevel(s), 4);
+    EXPECT_EQ(T::trueAt(s, Lit::pos(b)), 2);
+    EXPECT_TRUE(T::reason(s, b).empty());
+    // True at 4, false at 2: the clause implies d at 2.
+    ASSERT_TRUE(s.addClause({Lit::pos(d), Lit::neg(b)}));
+    EXPECT_EQ(T::decisionLevel(s), 2);
+    EXPECT_EQ(T::trueAt(s, Lit::pos(d)), 2);
+    EXPECT_EQ(T::reason(s, d), (Clause{Lit::pos(d), Lit::neg(b)}));
+    EXPECT_TRUE(T::unassigned(s, c));
+    ASSERT_EQ(s.solve(assume), SolveResult::Sat);
+    EXPECT_TRUE(s.checkModel());
+}
+
+TEST(SolverTest, KeptTrailEnumerationMatchesBruteForce)
+{
+    // Enumerate the models, projected onto the frozen variables, of
+    // random CNFs that a variable permutation maps onto themselves, the
+    // way the synthesizer enumerates tests under thread symmetry: each
+    // model is blocked in a layer together with its image under the
+    // permutation, so every blocking clause lands on the trail the last
+    // Sat answer left. Side queries under other assumptions, released
+    // layers, simplify(), forced reductions and conflict budgets are
+    // interleaved. The models found and their images must be exactly the
+    // projected models brute force finds, and no model comes back.
+    int found_total = 0;
+    uint64_t kept_levels = 0;
+    for (uint32_t seed = 1; seed <= 40; seed++) {
+        std::mt19937 rng(seed);
+        const int frozen = 4 + static_cast<int>(rng() % 9); // 4..12
+        const int num_vars = frozen + static_cast<int>(rng() % 4);
+        const uint32_t frozen_mask = (uint32_t(1) << frozen) - 1;
+
+        // An involution of the frozen variables: a few random swaps.
+        std::vector<Var> perm(static_cast<size_t>(num_vars));
+        for (int v = 0; v < num_vars; v++)
+            perm[v] = v;
+        std::vector<Var> order(perm.begin(), perm.begin() + frozen);
+        std::shuffle(order.begin(), order.end(), rng);
+        int swaps = 1 + static_cast<int>(rng() % (frozen / 2));
+        for (int k = 0; k < swaps; k++)
+            std::swap(perm[order[2 * k]], perm[order[2 * k + 1]]);
+        auto permute = [&](uint32_t m) {
+            uint32_t r = 0;
+            for (int v = 0; v < frozen; v++) {
+                if ((m >> v) & 1)
+                    r |= uint32_t(1) << perm[v];
+            }
+            return r;
+        };
+        auto randomLit = [&](int below) {
+            return Lit(static_cast<Var>(rng() % below), rng() & 1);
+        };
+
+        Solver s;
+        for (int v = 0; v < num_vars; v++)
+            s.newVar();
+        for (int v = 0; v < frozen; v++)
+            s.setFrozen(v);
+        // Each clause and its image go together, to the permanent part
+        // or to one layer, so both parts stay symmetric.
+        Group layer = s.newGroup();
+        std::vector<Clause> cnf;
+        int pairs = frozen + static_cast<int>(rng() % (2 * frozen));
+        for (int i = 0; i < pairs; i++) {
+            Clause c;
+            int len = 2 + static_cast<int>(rng() % 3);
+            for (int l = 0; l < len; l++)
+                c.push_back(randomLit(num_vars));
+            Clause img;
+            for (Lit l : c)
+                img.push_back(Lit(perm[l.var()], l.sign()));
+            bool grouped = rng() & 1;
+            for (const Clause &cl : {c, img}) {
+                cnf.push_back(cl);
+                ASSERT_TRUE(grouped ? s.addClause(layer, cl)
+                                    : s.addClause(cl));
+            }
+        }
+        std::set<uint32_t> expected;
+        for (uint32_t a = 0; a < (uint32_t(1) << num_vars); a++) {
+            if (evaluate(cnf, a))
+                expected.insert(a & frozen_mask);
+        }
+
+        Group block = s.newGroup();
+        const std::vector<Lit> enumerate = {s.groupLit(layer),
+                                            s.groupLit(block)};
+        std::set<uint32_t> blocked;
+        auto blockProjected = [&](uint32_t m) {
+            Clause c;
+            for (int v = 0; v < frozen; v++)
+                c.push_back(Lit(static_cast<Var>(v), (m >> v) & 1));
+            ASSERT_TRUE(s.addClause(block, c));
+            blocked.insert(m);
+        };
+        auto projection = [&]() {
+            uint32_t m = 0;
+            for (int v = 0; v < frozen; v++) {
+                if (s.modelValue(static_cast<Var>(v)))
+                    m |= uint32_t(1) << v;
+            }
+            return m;
+        };
+
+        bool exhausted = false;
+        for (int step = 0; step < 20000 && !exhausted; step++) {
+            int kind = static_cast<int>(rng() % 40);
+            if (kind == 0) {
+                // A side query under a longer, reordered vector.
+                Lit extra = randomLit(frozen);
+                std::vector<Lit> assume = {s.groupLit(block),
+                                           s.groupLit(layer), extra};
+                bool want = false;
+                for (uint32_t m : expected) {
+                    bool bit = (m >> extra.var()) & 1;
+                    if (!blocked.count(m) && bit != extra.sign())
+                        want = true;
+                }
+                SolveResult got = s.solve(assume);
+                ASSERT_EQ(got == SolveResult::Sat, want)
+                    << "seed " << seed << " step " << step;
+                if (want) {
+                    ASSERT_TRUE(s.checkModel());
+                    ASSERT_TRUE(s.modelValue(extra));
+                }
+            } else if (kind == 1) {
+                // A layer that lives for one query, then is released.
+                Group junk = s.newGroup();
+                for (int i = 0; i < 3; i++) {
+                    ASSERT_TRUE(s.addClause(
+                        junk, {randomLit(frozen), randomLit(frozen)}));
+                }
+                if (s.solve({s.groupLit(junk)}) == SolveResult::Sat) {
+                    ASSERT_TRUE(s.checkModel());
+                }
+                s.release(junk);
+            } else if (kind == 2) {
+                ASSERT_TRUE(s.simplify());
+            } else if (kind == 3) {
+                s.reduceLearnedClauses();
+            } else {
+                if (kind == 4)
+                    s.setConflictBudget(1 + rng() % 3);
+                SolveResult got = s.solve(enumerate);
+                s.setConflictBudget(0);
+                if (got == SolveResult::BudgetExhausted)
+                    continue;
+                if (got == SolveResult::Unsat) {
+                    exhausted = true;
+                    continue;
+                }
+                ASSERT_TRUE(s.checkModel());
+                uint32_t m = projection();
+                ASSERT_TRUE(expected.count(m))
+                    << "seed " << seed << " step " << step;
+                ASSERT_FALSE(blocked.count(m))
+                    << "model found twice: seed " << seed << " step "
+                    << step;
+                found_total++;
+                // The model first, then its image, before the next solve.
+                blockProjected(m);
+                ASSERT_TRUE(expected.count(permute(m)));
+                blockProjected(permute(m));
+            }
+        }
+        ASSERT_TRUE(exhausted) << "seed " << seed;
+        EXPECT_EQ(blocked, expected) << "seed " << seed;
+        kept_levels += s.stats().keptLevels;
+    }
+    EXPECT_GT(found_total, 200);
+    EXPECT_GT(kept_levels, 0u);
+}
+
 TEST(SolverTest, SearchIsPinned)
 {
-    // The clause store's layout must never change the search: the same
-    // watch order and literal positions give the same conflicts,
-    // decisions and learned clauses. A fixed, self-generated workload
-    // touches every path that moves clauses around (grouped blocking
-    // enumeration, release, assumptions, simplify, a forced reduction)
-    // and its counters are pinned exactly. A change to these numbers
-    // means the search changed, not just its speed.
+    // The search is pinned exactly: conflicts, decisions and learned
+    // clauses. A fixed, self-generated workload touches every path that
+    // moves clauses around or keeps search state between calls: grouped
+    // blocking enumeration, where each blocking clause lands on the
+    // trail the last Sat answer kept and backjumps only as far as it
+    // needs (so each solve after a blocked model keeps the layer's
+    // assumption level), release, assumptions, simplify and a forced
+    // reduction. The clause store's layout must never move these
+    // numbers; a change to them means the search changed, not just its
+    // speed.
     std::mt19937 rng(20261017);
     const int num_vars = 150;
     const int frozen = 24; // the variables assumed or blocked on
@@ -757,14 +1039,14 @@ TEST(SolverTest, SearchIsPinned)
     const SolverStats &st = s.stats();
     EXPECT_EQ(models, 40);
     EXPECT_EQ(sat_answers, 63);
-    EXPECT_EQ(st.conflicts, 9744u);
-    EXPECT_EQ(st.decisions, 14206u);
-    EXPECT_EQ(st.propagations, 331643u);
-    EXPECT_EQ(st.learnedClauses, 9744u);
-    EXPECT_EQ(st.deletedClauses, 8588u);
-    EXPECT_EQ(st.reduceCalls, 7u);
+    EXPECT_EQ(st.conflicts, 8709u);
+    EXPECT_EQ(st.decisions, 12474u);
+    EXPECT_EQ(st.propagations, 292827u);
+    EXPECT_EQ(st.learnedClauses, 8709u);
+    EXPECT_EQ(st.deletedClauses, 7449u);
+    EXPECT_EQ(st.reduceCalls, 5u);
     EXPECT_EQ(st.eliminatedVars, 5u);
-    EXPECT_EQ(st.keptLevels, 2u);
+    EXPECT_EQ(st.keptLevels, 41u);
 }
 
 TEST(SolverTest, ArenaCompactsAfterReleasedLayers)
