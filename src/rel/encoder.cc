@@ -452,9 +452,10 @@ RelSolver::addFact(const FormulaPtr &f)
 void
 RelSolver::retract(FactHandle h)
 {
-    if (std::find(witness.layers.begin(), witness.layers.end(), h) !=
-        witness.layers.end())
-        witness = Witness();
+    if (witness && std::find(witness->layers().begin(),
+                             witness->layers().end(),
+                             h) != witness->layers().end())
+        witness.reset();
     solver.release(h);
     liveFacts.erase(std::remove(liveFacts.begin(), liveFacts.end(), h),
                     liveFacts.end());
@@ -598,14 +599,18 @@ RelSolver::blockInstance(const Instance &inst, const std::vector<int> &var_ids,
         solver.addClause(under, std::move(clause));
 }
 
+namespace
+{
+
+/** Assumptions pinning the @p fixed relations to their values in @p src. */
 void
-RelSolver::pushPins(const Instance &src, const std::vector<char> &fixed,
-                    std::vector<sat::Lit> &assume) const
+pushPins(const Encoder &enc, const Instance &src,
+         const std::vector<char> &fixed, std::vector<sat::Lit> &assume)
 {
     const Vocabulary &vocab = enc.vocabulary();
     size_t n = enc.universe();
-    // Pin the fixed relations at their values in @p src. Lit's sign flag
-    // means "negated", so pinning cell c to value b is Lit(c, !b).
+    // Lit's sign flag means "negated", so pinning cell c to value b is
+    // Lit(c, !b).
     for (size_t id = 0; id < vocab.size(); id++) {
         if (!fixed[id])
             continue;
@@ -626,9 +631,37 @@ RelSolver::pushPins(const Instance &src, const std::vector<char> &fixed,
     }
 }
 
+} // namespace
+
+WitnessSolver::WitnessSolver(const Encoder &enc,
+                             std::unique_ptr<sat::Solver> solver,
+                             std::vector<FactHandle> layers,
+                             uint64_t revision)
+    : enc(enc), solver(std::move(solver)), copiedLayers(std::move(layers)),
+      copiedRevision(revision)
+{
+}
+
+sat::SolveResult
+WitnessSolver::solve(const std::vector<sat::Lit> &assume, WitnessWork &work)
+{
+    // A solve that starts at or past the budget stops at its first
+    // conflict.
+    uint64_t budget = 0;
+    if (work.budget) {
+        uint64_t used = work.stats.conflicts;
+        budget = used < work.budget ? work.budget - used : 1;
+    }
+    solver->setConflictBudget(budget);
+    sat::SolverStats before = solver->stats();
+    sat::SolveResult res = solver->solve(assume);
+    sat::addSearch(work.stats, before, solver->stats());
+    return res;
+}
+
 bool
-RelSolver::lexWalk(sat::Solver &probe, std::vector<sat::Lit> &assume,
-                   const std::vector<char> &fixed)
+WitnessSolver::lexWalk(std::vector<sat::Lit> &assume,
+                       const std::vector<char> &fixed, WitnessWork &work)
 {
     const Vocabulary &vocab = enc.vocabulary();
     size_t n = enc.universe();
@@ -643,9 +676,9 @@ RelSolver::lexWalk(sat::Solver &probe, std::vector<sat::Lit> &assume,
         assume.push_back(sat::Lit(v, true));
         if (!val)
             return true;
-        sat::SolveResult res = solver.solveProbe(probe, assume);
+        sat::SolveResult res = solve(assume, work);
         if (res == sat::SolveResult::Sat)
-            lastInstance = enc.extract(probe);
+            lastInstance = enc.extract(*solver);
         else if (res == sat::SolveResult::Unsat)
             assume.back() = sat::Lit(v, false);
         return res != sat::SolveResult::BudgetExhausted;
@@ -673,17 +706,33 @@ RelSolver::lexWalk(sat::Solver &probe, std::vector<sat::Lit> &assume,
     return true;
 }
 
-sat::Solver &
+bool
+WitnessSolver::pinAndMinimize(const Instance &pin,
+                              const std::vector<int> &pinned_var_ids,
+                              WitnessWork &work)
+{
+    std::vector<char> fixed(enc.vocabulary().size(), 0);
+    for (int id : pinned_var_ids)
+        fixed[static_cast<size_t>(id)] = 1;
+
+    std::vector<sat::Lit> assume;
+    pushPins(enc, pin, fixed, assume);
+    if (solve(assume, work) != sat::SolveResult::Sat)
+        return false;
+    lastInstance = enc.extract(*solver);
+    return lexWalk(assume, fixed, work);
+}
+
+std::shared_ptr<WitnessSolver>
 RelSolver::witnessFor(const std::vector<FactHandle> &layers)
 {
     uint64_t revision = solver.revision(layers);
-    if (!witness.solver || witness.layers != layers ||
-        witness.revision != revision) {
-        witness.solver = solver.restrictedCopy(layers);
-        witness.layers = layers;
-        witness.revision = revision;
+    if (!witness || witness->layers() != layers ||
+        witness->revision() != revision) {
+        witness = std::make_shared<WitnessSolver>(
+            enc, solver.restrictedCopy(layers), layers, revision);
     }
-    return *witness.solver;
+    return witness;
 }
 
 bool
@@ -691,17 +740,14 @@ RelSolver::pinAndMinimize(const Instance &pin,
                           const std::vector<int> &pinned_var_ids,
                           const std::vector<FactHandle> &layers)
 {
-    std::vector<char> fixed(enc.vocabulary().size(), 0);
-    for (int id : pinned_var_ids)
-        fixed[static_cast<size_t>(id)] = 1;
-
-    sat::Solver &probe = witnessFor(layers);
-    std::vector<sat::Lit> assume;
-    pushPins(pin, fixed, assume);
-    if (solver.solveProbe(probe, assume) != sat::SolveResult::Sat)
-        return false;
-    lastInstance = enc.extract(probe);
-    return lexWalk(probe, assume, fixed);
+    std::shared_ptr<WitnessSolver> probe = witnessFor(layers);
+    WitnessWork work;
+    work.budget = solver.remainingConflictBudget();
+    bool ok = probe->pinAndMinimize(pin, pinned_var_ids, work);
+    solver.chargeSearch(work.stats);
+    if (ok)
+        lastInstance = probe->instance();
+    return ok;
 }
 
 } // namespace lts::rel

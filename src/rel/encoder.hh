@@ -129,6 +129,66 @@ using FactHandle = sat::Group;
 constexpr FactHandle kNoFact = sat::kNoGroup;
 
 /**
+ * What a run of witness solves may spend and has spent: a conflict cap
+ * over the whole run and the search counters of its solves so far.
+ */
+struct WitnessWork
+{
+    uint64_t budget = 0;    ///< conflict cap over the run (0 = none)
+    sat::SolverStats stats; ///< the run's search so far (see sat::addSearch)
+};
+
+/**
+ * The private solver witness resolution runs on (RelSolver::witnessFor):
+ * a sat::Solver::restrictedCopy of the enumeration solver holding only
+ * the base encoding and @p layers, the revision of the master it copied,
+ * and the last witness it resolved. It reads the owning RelSolver's
+ * Encoder only through const calls, so one thread can resolve witnesses
+ * on it while another keeps solving and blocking on the master; one
+ * thread at a time may use it.
+ */
+class WitnessSolver
+{
+  public:
+    WitnessSolver(const Encoder &enc, std::unique_ptr<sat::Solver> solver,
+                  std::vector<FactHandle> layers, uint64_t revision);
+
+    /**
+     * Pin @p pinned_var_ids to their values in @p pin and find the
+     * lexicographically smallest completion (declared relations in id
+     * order, cells row-major, false before true) under the copied
+     * layers. Returns false when no completion exists or @p work's
+     * budget ran out before the walk finished; on success instance()
+     * holds the result, which is a pure function of the pinned
+     * assignment and the copied constraint set. Each solve gets what is
+     * left of @p work's budget (at least one conflict) and adds its
+     * search to @p work.
+     */
+    bool pinAndMinimize(const Instance &pin,
+                        const std::vector<int> &pinned_var_ids,
+                        WitnessWork &work);
+
+    /** The witness the last successful pinAndMinimize resolved. */
+    const Instance &instance() const { return lastInstance; }
+
+    /** The layers copied, and the master's revision(layers) then. */
+    const std::vector<FactHandle> &layers() const { return copiedLayers; }
+    uint64_t revision() const { return copiedRevision; }
+
+  private:
+    sat::SolveResult solve(const std::vector<sat::Lit> &assume,
+                           WitnessWork &work);
+    bool lexWalk(std::vector<sat::Lit> &assume,
+                 const std::vector<char> &fixed, WitnessWork &work);
+
+    const Encoder &enc;
+    std::unique_ptr<sat::Solver> solver;
+    const std::vector<FactHandle> copiedLayers;
+    const uint64_t copiedRevision;
+    Instance lastInstance;
+};
+
+/**
  * One-stop relational solver: vocabulary + facts + solve/enumerate.
  */
 class RelSolver
@@ -207,30 +267,36 @@ class RelSolver
 
     /**
      * Pin @p pinned_var_ids to their values in @p pin and find the
-     * lexicographically smallest completion (declared relations in id
-     * order, cells row-major, false before true) under exactly the
-     * given fact layers — not the full live set, so enumeration-only
-     * layers (symmetry breaking, blocking) can be left out. Returns
-     * false when no completion exists or the conflict budget ran out
-     * before the walk finished; on success instance() holds the result,
-     * which is a pure function of the pinned assignment and the active
-     * constraint set.
+     * lexicographically smallest completion under exactly the given
+     * fact layers — not the full live set, so enumeration-only layers
+     * (symmetry breaking, blocking) can be left out. Returns false when
+     * no completion exists or the conflict budget ran out before the
+     * walk finished; on success instance() holds the result, which is a
+     * pure function of the pinned assignment and the active constraint
+     * set.
      *
-     * The solves run on a private witness solver, a
-     * sat::Solver::restrictedCopy holding only the base encoding and
-     * @p layers, so they neither disturb the enumeration solver's trail
-     * and learnt clauses nor enter its DRAT proof. Their search is
-     * charged to satSolver()'s stats and budget. The copy is built on
-     * the first call for a layer set and reused until the layer set
-     * changes, the solver gains a variable or a permanent clause, or
-     * one of the layers is retracted, which frees it.
+     * A thin wrapper over witnessFor(@p layers)->pinAndMinimize: the
+     * solves run on the private witness solver, so they neither disturb
+     * the enumeration solver's trail and learnt clauses nor enter its
+     * DRAT proof. They get what is left of satSolver()'s budget, and
+     * their search is charged to its stats on return.
      */
     bool pinAndMinimize(const Instance &pin,
                         const std::vector<int> &pinned_var_ids,
                         const std::vector<FactHandle> &layers);
 
+    /**
+     * The witness solver for @p layers. The one held is returned while
+     * its layer set and this solver's revision(layers) are unchanged;
+     * otherwise a fresh restrictedCopy replaces it. Retracting one of
+     * its layers frees the held one. A caller that keeps the pointer
+     * keeps its solver alive, and may use it on another thread.
+     */
+    std::shared_ptr<WitnessSolver>
+    witnessFor(const std::vector<FactHandle> &layers);
+
     /** The current witness solver, or nullptr when none is held. */
-    const sat::Solver *witnessSolver() const { return witness.solver.get(); }
+    const WitnessSolver *witnessSolver() const { return witness.get(); }
 
     /**
      * Exclude the last instance's assignment to @p var_ids (all declared
@@ -271,26 +337,12 @@ class RelSolver
     sat::Solver &satSolver() { return solver; }
 
   private:
-    void pushPins(const Instance &src, const std::vector<char> &fixed,
-                  std::vector<sat::Lit> &assume) const;
-    bool lexWalk(sat::Solver &probe, std::vector<sat::Lit> &assume,
-                 const std::vector<char> &fixed);
-    sat::Solver &witnessFor(const std::vector<FactHandle> &layers);
-
-    /** The private solver pinAndMinimize runs on, and what it copied. */
-    struct Witness
-    {
-        std::unique_ptr<sat::Solver> solver;
-        std::vector<FactHandle> layers;
-        uint64_t revision = 0; ///< solver.revision(layers) at the copy
-    };
-
     sat::Solver solver;
     GateBuilder builder;
     Encoder enc;
     Instance lastInstance;
     std::vector<FactHandle> liveFacts;
-    Witness witness;
+    std::shared_ptr<WitnessSolver> witness;
 };
 
 } // namespace lts::rel

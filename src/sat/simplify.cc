@@ -83,6 +83,8 @@ class Simplifier
     void collectGroupScope();
     void buildIndex();
     void registerClause(ClauseRef cref);
+    void removeIndexed(ClauseRef cref);
+    void touch(ClauseRef cref);
     void enqueueSubsumption(ClauseRef cref);
     int addOrEnqueue(std::vector<Lit> lits, bool log_add = true);
     void processTrail();
@@ -108,6 +110,10 @@ class Simplifier
     std::vector<std::vector<ClauseRef>> occ; ///< per Lit::index()
     std::vector<uint64_t> sigs;              ///< per clause, 0 if unindexed
     std::vector<uint8_t> noElim;             ///< var occurs in a grouped clause
+    /** Per var: a clause on it was added or removed since its last BVE
+     *  try. tryEliminate's answer depends only on the var's live
+     *  clauses, so an untouched var would fail again. */
+    std::vector<uint8_t> touched;
     std::vector<ClauseRef> subQueue;
     std::vector<uint8_t> queued;         ///< per clause: in subQueue
     mutable std::vector<uint8_t> marks;  ///< per Lit::index() scratch
@@ -204,6 +210,7 @@ void
 Simplifier::buildIndex()
 {
     occ.assign(static_cast<size_t>(s.numVars()) * 2, {});
+    touched.assign(static_cast<size_t>(s.numVars()), 1);
     sigs.assign(s.clauses.size(), 0);
     queued.assign(s.clauses.size(), 0);
     marks.assign(static_cast<size_t>(s.numVars()) * 2, 0);
@@ -233,7 +240,7 @@ Simplifier::buildIndex()
                 shrinks = true;
         }
         if (satisfied) {
-            s.removeClause(i);
+            removeIndexed(i);
         } else if (shrinks) {
             // Root-falsified literals are dropped by rebuilding the
             // clause: an in-place edit could leave a false literal in a
@@ -249,7 +256,7 @@ Simplifier::buildIndex()
             if (!s.ok)
                 return;
             if (!s.clauses[i].deleted)
-                s.removeClause(i);
+                removeIndexed(i);
         } else {
             registerClause(i);
         }
@@ -269,7 +276,23 @@ Simplifier::registerClause(ClauseRef cref)
     sigs[cref] = signature(c.lits());
     for (Lit l : c.lits())
         occ[l.index()].push_back(cref);
+    touch(cref);
     enqueueSubsumption(cref);
+}
+
+/** Delete clause @p cref, marking its variables for the next BVE try. */
+void
+Simplifier::removeIndexed(ClauseRef cref)
+{
+    touch(cref);
+    s.removeClause(cref);
+}
+
+void
+Simplifier::touch(ClauseRef cref)
+{
+    for (Lit l : s.clauses[cref].lits())
+        touched[l.var()] = 1;
 }
 
 void
@@ -354,7 +377,7 @@ Simplifier::processTrail()
         for (size_t i = 0; i < occ[p.index()].size(); i++) {
             ClauseRef cref = occ[p.index()][i];
             if (!s.clauses[cref].deleted)
-                s.removeClause(cref);
+                removeIndexed(cref);
         }
         occ[p.index()].clear();
         for (size_t i = 0; i < occ[(~p).index()].size(); i++) {
@@ -370,7 +393,7 @@ Simplifier::processTrail()
             if (!s.ok)
                 return;
             if (!s.clauses[cref].deleted)
-                s.removeClause(cref);
+                removeIndexed(cref);
         }
         occ[(~p).index()].clear();
     }
@@ -434,7 +457,7 @@ Simplifier::backwardSubsume(ClauseRef cref)
             SubsumeResult res = subsumeCheck(c.lits(), d.lits(), flip);
             if (res == SubsumeResult::Subsumes) {
                 s.statsData.subsumedClauses++;
-                s.removeClause(dref);
+                removeIndexed(dref);
             } else if (res == SubsumeResult::Strengthens) {
                 strengthenClause(dref, ~flip);
                 if (!s.ok)
@@ -491,7 +514,7 @@ Simplifier::strengthenClause(ClauseRef cref, Lit drop)
     if (!s.ok)
         return;
     if (!s.clauses[cref].deleted)
-        s.removeClause(cref);
+        removeIndexed(cref);
 }
 
 bool
@@ -501,8 +524,9 @@ Simplifier::bveSweep()
     int vars = s.numVars();
     for (Var v = 0; v < vars; v++) {
         if (s.frozenFlags[v] || s.elimFlags[v] || noElim[v] ||
-            s.value(v) != LBool::Undef)
+            s.value(v) != LBool::Undef || !touched[v])
             continue;
+        touched[v] = 0;
         if (tryEliminate(v))
             changed = true;
         if (!s.ok)
@@ -611,7 +635,7 @@ Simplifier::tryEliminate(Var v)
     originals.insert(originals.end(), neg.begin(), neg.end());
     for (ClauseRef cref : originals) {
         if (!s.clauses[cref].deleted)
-            s.removeClause(cref);
+            removeIndexed(cref);
     }
     pos.clear();
     neg.clear();

@@ -1142,29 +1142,33 @@ Solver::revision(const std::vector<Group> &keep) const
     return rev;
 }
 
-SolveResult
-Solver::solveProbe(Solver &probe, const std::vector<Lit> &assumptions)
+void
+addSearch(SolverStats &into, const SolverStats &before,
+          const SolverStats &after)
 {
-    // A solve here that starts at or past the budget stops at its first
-    // conflict; a budget of one does the same on the probe.
-    uint64_t budget = 0;
-    if (conflictBudget) {
-        uint64_t used = statsData.conflicts - budgetBase;
-        budget = used < conflictBudget ? conflictBudget - used : 1;
-    }
-    probe.setConflictBudget(budget);
-    SolverStats before = probe.statsData;
-    SolveResult res = probe.solve(assumptions);
-    const SolverStats &after = probe.statsData;
-    statsData.decisions += after.decisions - before.decisions;
-    statsData.propagations += after.propagations - before.propagations;
-    statsData.conflicts += after.conflicts - before.conflicts;
-    statsData.restarts += after.restarts - before.restarts;
-    statsData.learnedClauses += after.learnedClauses - before.learnedClauses;
-    statsData.minimizedLits += after.minimizedLits - before.minimizedLits;
-    statsData.solves += after.solves - before.solves;
-    statsData.keptLevels += after.keptLevels - before.keptLevels;
-    return res;
+    into.decisions += after.decisions - before.decisions;
+    into.propagations += after.propagations - before.propagations;
+    into.conflicts += after.conflicts - before.conflicts;
+    into.restarts += after.restarts - before.restarts;
+    into.learnedClauses += after.learnedClauses - before.learnedClauses;
+    into.minimizedLits += after.minimizedLits - before.minimizedLits;
+    into.solves += after.solves - before.solves;
+    into.keptLevels += after.keptLevels - before.keptLevels;
+}
+
+void
+Solver::chargeSearch(const SolverStats &work)
+{
+    addSearch(statsData, SolverStats(), work);
+}
+
+uint64_t
+Solver::remainingConflictBudget() const
+{
+    if (!conflictBudget)
+        return 0;
+    uint64_t used = statsData.conflicts - budgetBase;
+    return used < conflictBudget ? conflictBudget - used : 1;
 }
 
 const std::vector<Lit> &

@@ -73,6 +73,14 @@ struct SolverStats
 };
 
 /**
+ * Add to @p into the search counters — decisions, propagations,
+ * conflicts, restarts, learnt clauses, minimized literals, solves and
+ * kept levels — that @p after gained over @p before.
+ */
+void addSearch(SolverStats &into, const SolverStats &before,
+               const SolverStats &after);
+
+/**
  * Structured outcome of a solve() call. BudgetExhausted means the
  * conflict budget stopped the search before an answer was reached: the
  * model and the conflict-assumption set are both meaningless.
@@ -242,7 +250,8 @@ class Solver
      * assumptions the copy is Sat exactly when this solver is Sat with
      * the groups' literals assumed too (simplify() eliminates by exact
      * projection), so a query with a unique answer, such as a lex-min
-     * completion, answers the same on either. Solve it with solveProbe().
+     * completion, answers the same on either. Its search can be charged
+     * back here with chargeSearch().
      */
     std::unique_ptr<Solver> restrictedCopy(const std::vector<Group> &groups) const;
 
@@ -255,14 +264,11 @@ class Solver
     uint64_t revision(const std::vector<Group> &groups) const;
 
     /**
-     * Solve @p probe, a restrictedCopy() of this solver, under
-     * @p assumptions with what is left of this solver's conflict budget,
-     * and charge the probe's search (decisions, propagations, conflicts,
-     * restarts, learnt clauses, solves, kept levels) to this solver's
-     * stats: budgets and counters then cover probe queries as if they had
-     * run here.
+     * Add the search counters of @p work (see addSearch), such as a
+     * restrictedCopy()'s solves, to this solver's stats, so budgets and
+     * counters cover probe queries as if they had run here.
      */
-    SolveResult solveProbe(Solver &probe, const std::vector<Lit> &assumptions);
+    void chargeSearch(const SolverStats &work);
 
     // --- proof logging (drat.hh) ------------------------------------------
 
@@ -353,6 +359,13 @@ class Solver
      * incremental solver can budget each query family separately.
      */
     void setConflictBudget(uint64_t budget);
+
+    /**
+     * What is left of the conflict budget: 0 when none is set, else at
+     * least 1, so a solve given what is left of a spent budget stops at
+     * its first conflict.
+     */
+    uint64_t remainingConflictBudget() const;
 
     /**
      * Force a learned-clause database reduction now (normally triggered

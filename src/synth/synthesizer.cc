@@ -2,14 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
+#include <deque>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/pool.hh"
 #include "common/timer.hh"
@@ -82,13 +91,173 @@ validArrangements(const LitmusTest &test, bool by_full_key)
 }
 
 /**
+ * One track's witness stage (DESIGN.md, "Witness resolution beside
+ * enumeration"). The enumeration thread queues each new bucket's pinned
+ * program with the witness solver it resolves on and the placeholder
+ * its test goes to; one consumer at a time resolves the queue in FIFO
+ * order and converts and canonicalizes each witness into its
+ * placeholder, which the enumeration thread reads only once finish()
+ * returns. With a pool, the consumer is a pool task that drains
+ * what is queued and returns: the enumeration thread submits one when
+ * it queues a job and no task is pending or running, and drains what
+ * is left itself in finish(). Without a pool it drains each job as it
+ * queues it. Either way the witness solves run in queue order on the
+ * solvers they were queued with, so their search and their results do
+ * not depend on the thread count. The stage's conflict budget,
+ * options.conflictBudget, covers all of its solves.
+ */
+class WitnessQueue
+{
+  public:
+    WitnessQueue(const mm::Model &model, const std::vector<int> &pinned,
+                 const SynthOptions &options, ThreadPool *pool)
+        : shared(std::make_shared<Shared>(model, pinned, options)),
+          pool(pool)
+    {
+    }
+
+    /** Waits for a running consumer and drops what is still queued, so
+     *  no witness solve outlives the encoding it reads. */
+    ~WitnessQueue()
+    {
+        std::unique_lock<std::mutex> lock(shared->mu);
+        shared->pending.clear();
+        shared->idle.wait(lock, [this] { return !shared->consuming; });
+    }
+
+    WitnessQueue(const WitnessQueue &) = delete;
+    WitnessQueue &operator=(const WitnessQueue &) = delete;
+
+    /** Queue @p pin for resolution on @p solver into @p out, which must
+     *  stay put until finish() returns. */
+    void
+    push(std::shared_ptr<rel::WitnessSolver> solver, rel::Instance pin,
+         LitmusTest *out)
+    {
+        std::unique_lock<std::mutex> lock(shared->mu);
+        shared->pending.push_back({std::move(solver), std::move(pin), out});
+        if (!pool) {
+            shared->consuming = true;
+            consume(*shared, lock);
+        } else if (!shared->taskQueued && !shared->consuming) {
+            shared->taskQueued = true;
+            pool->submit([s = shared] {
+                std::unique_lock<std::mutex> task_lock(s->mu);
+                s->taskQueued = false;
+                if (s->consuming)
+                    return; // finish() took over
+                s->consuming = true;
+                consume(*s, task_lock);
+            });
+        }
+    }
+
+    /**
+     * Drain what is left on the calling thread, once no task is
+     * consuming. Returns the queue positions of the jobs whose walk the
+     * budget cut, leaving their placeholders as they were, and adds the
+     * search of every job to @p work.
+     */
+    std::vector<size_t>
+    finish(sat::SolverStats &work)
+    {
+        std::unique_lock<std::mutex> lock(shared->mu);
+        shared->idle.wait(lock, [this] { return !shared->consuming; });
+        shared->consuming = true;
+        consume(*shared, lock);
+        if (shared->error)
+            std::rethrow_exception(shared->error);
+        sat::addSearch(work, sat::SolverStats(), shared->work.stats);
+        return std::move(shared->cut);
+    }
+
+  private:
+    struct Job
+    {
+        std::shared_ptr<rel::WitnessSolver> solver;
+        rel::Instance pin;
+        LitmusTest *out;
+    };
+
+    /** What the stage's tasks share with it; a task that starts after
+     *  finish() finds nothing queued and touches nothing else. */
+    struct Shared
+    {
+        Shared(const mm::Model &model, const std::vector<int> &pinned,
+               const SynthOptions &options)
+            : model(model), pinned(pinned), options(options)
+        {
+            work.budget = options.conflictBudget;
+        }
+
+        const mm::Model &model;
+        const std::vector<int> &pinned;
+        const SynthOptions &options;
+
+        std::mutex mu;
+        std::condition_variable idle; // signalled when consuming clears
+        std::deque<Job> pending;      // under mu
+        bool consuming = false;  ///< a thread holds the consumer role
+        bool taskQueued = false; ///< a submitted task has not started
+        // Written by the consumer alone; handed over under mu.
+        rel::WitnessWork work;
+        size_t consumed = 0;     ///< jobs taken off the queue so far
+        std::vector<size_t> cut; ///< their positions the budget cut
+        std::exception_ptr error;
+    };
+
+    /** Resolve queued jobs until none is left; @p lock holds s.mu on
+     *  entry and exit, and the caller has set s.consuming. */
+    static void
+    consume(Shared &s, std::unique_lock<std::mutex> &lock)
+    {
+        while (!s.pending.empty() && !s.error) {
+            Job job = std::move(s.pending.front());
+            s.pending.pop_front();
+            size_t position = s.consumed++;
+            lock.unlock();
+            bool resolved = false;
+            std::exception_ptr failed;
+            try {
+                resolved =
+                    job.solver->pinAndMinimize(job.pin, s.pinned, s.work);
+                if (resolved) {
+                    LitmusTest found =
+                        mm::fromInstance(s.model, job.solver->instance());
+                    *job.out = s.options.useCanon
+                                   ? litmus::canonicalize(
+                                         found, s.options.canonMode)
+                                   : std::move(found);
+                }
+            } catch (...) {
+                failed = std::current_exception();
+            }
+            job.solver.reset();
+            lock.lock();
+            if (failed)
+                s.error = failed;
+            else if (!resolved)
+                s.cut.push_back(position);
+        }
+        s.consuming = false;
+        s.idle.notify_all();
+    }
+
+    std::shared_ptr<Shared> shared;
+    ThreadPool *pool;
+};
+
+/**
  * Enumerate one track at one size on a prepared solver. The track's
  * violation layer must already be live over the base encoding (see
  * runSizeJob). Blocking clauses go into a fresh layer owned by this
  * call, so witness-resolution solves — which activate only
  * @p witness_layers on top of the base facts — never see
  * them (a pinned representative's static part is typically itself a
- * blocked image). @p sbp_active says a symmetry-breaking layer is live:
+ * blocked image). Static mode resolves witnesses beside enumeration,
+ * on @p pool when there is one (see WitnessQueue), and charges their
+ * search to the solver once they are all resolved.
+ * @p sbp_active says a symmetry-breaking layer is live:
  * enumeration then sees one model per isomorphism class, and this
  * function compensates by inserting every canonical key of the class
  * and blocking every valid image (orbit blocking), keeping the output
@@ -99,7 +268,8 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
                const std::string &shard_label,
                const std::vector<int> &block_vars,
                const std::vector<rel::FactHandle> &witness_layers,
-               bool sbp_active, const SynthOptions &options)
+               bool sbp_active, const SynthOptions &options,
+               ThreadPool *pool)
 {
     Timer timer;
     ShardResult result;
@@ -120,8 +290,18 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
     // each bucket's test by pin-and-minimize (the full string stays
     // empty); full-instance mode keeps the smallest full serialization
     // seen across the enumerated witnesses and their images.
-    std::map<std::string, std::pair<std::string, LitmusTest>> byKey;
+    using ByKey = std::map<std::string, std::pair<std::string, LitmusTest>>;
+    ByKey byKey;
 
+    // Static mode: the queued witness jobs, and the byKey entry each one
+    // fills, in queue order.
+    std::optional<WitnessQueue> witnesses;
+    std::vector<ByKey::iterator> slots;
+    if (static_mode)
+        witnesses.emplace(model, block_vars, options, pool);
+
+    // Static mode counts queued keys, placeholders included: whether a
+    // budget will cut a queued witness is not known until it resolves.
     auto capped = [&]() {
         if (options.maxTestsPerSize &&
             static_cast<int>(byKey.size()) >= options.maxTestsPerSize) {
@@ -136,8 +316,6 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
     while (!done && res == sat::SolveResult::Sat) {
         result.rawInstances++;
         LitmusTest found = mm::fromInstance(model, solver.instance());
-        // Block first: blockModel reads the solver's last instance, which
-        // the witness solves below overwrite.
         solver.blockModel(block_vars, block_layer);
 
         if (static_mode) {
@@ -205,20 +383,17 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
                     result.truncated = true;
                     continue;
                 }
-                rel::Instance pin =
-                    mm::toInstance(model, arrs[best], litmus::Outcome(n));
-                if (!solver.pinAndMinimize(pin, block_vars,
-                                           witness_layers)) {
-                    // Only a conflict budget can land here: the pinned
-                    // program is an image of a satisfying model, so a
-                    // witness exists.
-                    result.truncated = true;
-                    continue;
-                }
-                LitmusTest wit =
-                    mm::fromInstance(model, solver.instance());
-                byKey.emplace(key,
-                              std::make_pair(std::string(), canonOf(wit)));
+                // The witness solver is taken here, where it would be
+                // were the witness resolved inline, so it copies the
+                // same root state whichever thread resolves it.
+                auto slot = byKey.emplace(key, std::make_pair(std::string(),
+                                                              LitmusTest()))
+                                .first;
+                witnesses->push(
+                    solver.witnessFor(witness_layers),
+                    mm::toInstance(model, arrs[best], litmus::Outcome(n)),
+                    &slot->second.second);
+                slots.push_back(slot);
                 if (capped()) {
                     done = true;
                     break;
@@ -277,6 +452,18 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
     }
     solver.retract(block_layer);
 
+    if (witnesses) {
+        sat::SolverStats work;
+        std::vector<size_t> cut = witnesses->finish(work);
+        solver.satSolver().chargeSearch(work);
+        // Only a conflict budget can cut a walk: the pinned program is
+        // an image of a satisfying model, so a witness exists.
+        for (size_t k : cut) {
+            byKey.erase(slots[k]);
+            result.truncated = true;
+        }
+    }
+
     result.tests.reserve(byKey.size());
     for (auto &kv : byKey)
         result.tests.push_back(std::move(kv.second.second));
@@ -311,7 +498,8 @@ installSymmetryBreaking(const mm::Model &model, rel::RelSolver &solver,
  * work. The solver and its proof writer die on return.
  */
 SynthProgressSnapshot
-runSizeJob(const mm::Model &model, SizeJob &job, const SynthOptions &options)
+runSizeJob(const mm::Model &model, SizeJob &job, const SynthOptions &options,
+           ThreadPool *pool)
 {
     size_t n = static_cast<size_t>(job.size);
     // Declared before the solver so the writer outlives it.
@@ -344,7 +532,7 @@ runSizeJob(const mm::Model &model, SizeJob &job, const SynthOptions &options)
         }
         ShardResult &shard = job.shards.emplace_back(
             enumerateTrack(model, solver, track.label, block_vars, {layer},
-                           sbp_active, options));
+                           sbp_active, options, pool));
         // The SBP layer is shared by every shard on this solver; its
         // clauses are counted once, by the first shard swept.
         if (job.shards.size() == 1)
@@ -358,6 +546,19 @@ runSizeJob(const mm::Model &model, SizeJob &job, const SynthOptions &options)
     counters.eliminatedVars = stats.eliminatedVars;
     counters.subsumedClauses = stats.subsumedClauses;
     return counters;
+}
+
+/**
+ * Return the heap a finished size job freed to the OS. glibc keeps
+ * freed memory in the arena of the thread that allocated it, so without
+ * this a finished size's solver stays resident for the rest of the run.
+ */
+void
+releaseFreedHeap()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
 }
 
 } // namespace
@@ -383,13 +584,16 @@ runSizeJobs(const mm::Model &model, std::vector<SizeJob> &jobs,
     unsigned threads = static_cast<unsigned>(std::min<size_t>(
         ThreadPool::resolveThreads(options.jobs), jobs.size()));
     if (threads <= 1) {
-        for (size_t i = 0; i < jobs.size(); i++)
-            counters[i] = runSizeJob(model, jobs[i], options);
+        for (size_t i = 0; i < jobs.size(); i++) {
+            counters[i] = runSizeJob(model, jobs[i], options, nullptr);
+            releaseFreedHeap();
+        }
     } else {
         ThreadPool pool(threads);
         for (size_t i = 0; i < jobs.size(); i++) {
             pool.submit([&, i] {
-                counters[i] = runSizeJob(model, jobs[i], options);
+                counters[i] = runSizeJob(model, jobs[i], options, &pool);
+                releaseFreedHeap();
             });
         }
         pool.wait();

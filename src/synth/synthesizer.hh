@@ -29,10 +29,12 @@
  * goes through one runner, runSizeJobs: one SizeJob per size, on a
  * thread pool when SynthOptions::jobs != 1. A size job builds its
  * solver, sweeps its tracks and frees the solver before it returns, so
- * nothing outlives the run but shards and counters. Results are merged
- * in a fixed order (axiom declaration order, then size, then canonical
- * serialization), so the output is byte-identical to a serial run
- * regardless of completion order.
+ * nothing outlives the run but shards and counters. On a pool, a
+ * track's witnesses resolve on another worker while its enumeration
+ * keeps solving, in the order a serial run resolves them. Results are
+ * merged in a fixed order (axiom declaration order, then size, then
+ * canonical serialization), so the output is byte-identical to a
+ * serial run regardless of completion order.
  */
 
 #ifndef LTS_SYNTH_SYNTHESIZER_HH
@@ -77,8 +79,13 @@ struct SynthOptions
     litmus::CanonMode canonMode = litmus::CanonMode::Paper;
     bool blockStaticOnly = true;  ///< ablation: block full instances instead
     bool useCanon = true;         ///< ablation: disable symmetry reduction
-    uint64_t conflictBudget = 0;  ///< SAT conflict cap per (axiom, size)
-                                  ///< query family (0 = off)
+    /**
+     * SAT conflict cap per (axiom, size) query family (0 = off). The
+     * family's enumeration solves and its witness solves each get the
+     * whole cap: witnesses resolve beside enumeration, so a shared cap
+     * would cut wherever the two happened to interleave.
+     */
+    uint64_t conflictBudget = 0;
     int maxTestsPerSize = 0;      ///< safety cap (0 = off)
 
     /**
@@ -96,8 +103,9 @@ struct SynthOptions
      * Worker threads: one job per size, each sweeping its axioms over a
      * private solver. 1 runs jobs inline on the caller thread; 0 uses
      * all hardware threads; no more workers start than there are size
-     * jobs. Results are merged deterministically, so output is
-     * byte-identical for any value.
+     * jobs. A worker with no size job left resolves witnesses for the
+     * jobs still enumerating. Results are merged deterministically, so
+     * output is byte-identical for any value.
      */
     int jobs = 1;
 
@@ -227,10 +235,18 @@ struct SizeJob
  * logs to the size's proof file. It then sweeps its tracks in order,
  * each track's layer added as a retractable fact, enumerated and
  * retracted, so a shard's result does not depend on which others are
- * swept; the first shard carries the SBP clause count. The solver is
- * freed when the job ends, so a finished size never adds to the peak
- * memory of the sizes still running. No SAT or relational state crosses
- * threads. Returns the jobs' counters, summed after the join.
+ * swept; the first shard carries the SBP clause count. With a pool,
+ * each track's witness solves run as pool tasks beside its
+ * enumeration, one task at a time, in the order the job queued them,
+ * and the job drains what is left itself when enumeration ends (see
+ * DESIGN.md, "Witness resolution beside enumeration"). The solver is
+ * freed when the job ends and the heap it held is returned to the OS,
+ * so a finished size never adds to the peak memory of the sizes still
+ * running. The only SAT state that crosses threads is a track's witness
+ * solver, which one thread at a time uses and which dies before its
+ * job's solver; a witness task otherwise only reads the job's encoder,
+ * the model and the options. Returns the jobs' counters, summed after
+ * the join.
  */
 SynthProgressSnapshot runSizeJobs(const mm::Model &model,
                                   std::vector<SizeJob> &jobs,

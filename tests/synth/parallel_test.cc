@@ -4,7 +4,10 @@
  * byte-identical suites regardless of the job count (the deterministic
  * merge guarantee), the runner's counters and worker cap, and
  * unionSuites must store canonicalized, renamed tests (regression for
- * the dedup-key/raw-test mismatch).
+ * the dedup-key/raw-test mismatch). Witnesses resolve on pool workers
+ * beside enumeration, in the order a serial run resolves them, so the
+ * shards, the solver counters and budget cuts must not depend on the
+ * job count either.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "litmus/canon.hh"
@@ -159,6 +163,79 @@ TEST(ParallelSynthesisTest, PoolStartsAtMostOneWorkerPerJob)
     runSizeJobs(*tso, jobs, opt);
     EXPECT_GT(seen, 0);
     EXPECT_LE(seen, baseline + 2);
+}
+
+/**
+ * Run one size job per size in [@p min_size, @p max_size], each
+ * sweeping every axiom of @p model, and render every shard's tests,
+ * raw instances and truncation flag plus the runner's conflicts and
+ * instances.
+ */
+std::string
+sizeJobsAt(const mm::Model &model, int min_size, int max_size, int jobs,
+           uint64_t budget = 0)
+{
+    std::vector<SizeJob> size_jobs;
+    for (int size = min_size; size <= max_size; size++) {
+        SizeJob &job = size_jobs.emplace_back();
+        job.size = size;
+        for (const mm::Axiom &axiom : model.axioms())
+            job.tracks.push_back(axiomTrack(model, axiom.name));
+    }
+    SynthOptions opt;
+    opt.jobs = jobs;
+    opt.conflictBudget = budget;
+    SynthProgressSnapshot counters = runSizeJobs(model, size_jobs, opt);
+    std::string s = "conflicts=" + std::to_string(counters.conflicts) +
+                    " instances=" + std::to_string(counters.instances) +
+                    "\n";
+    for (const SizeJob &job : size_jobs) {
+        for (size_t i = 0; i < job.shards.size(); i++) {
+            const ShardResult &shard = job.shards[i];
+            s += "n=" + std::to_string(job.size) + " " +
+                 job.tracks[i].label +
+                 " raw=" + std::to_string(shard.rawInstances) +
+                 (shard.truncated ? " truncated" : "") + "\n";
+            for (const LitmusTest &t : shard.tests)
+                s += litmus::fullSerialize(t) + "\n";
+        }
+    }
+    return s;
+}
+
+TEST(ParallelWitnessTest, ShardsAndCountersMatchAcrossJobCounts)
+{
+    // At --jobs 2 the third size job waits for a worker, so the first
+    // two find none idle and drain their own witness queues. At --jobs 4
+    // sizes 2 and 3 end early, and their workers drain the largest
+    // size's queue beside its enumeration.
+    for (auto [name, max_size] : {std::pair<const char *, int>{"scc", 4},
+                                  std::pair<const char *, int>{"tso", 5}}) {
+        auto model = mm::makeModel(name);
+        std::string serial = sizeJobsAt(*model, 2, max_size, 1);
+        EXPECT_NE(serial.find("conflicts="), std::string::npos);
+        for (int jobs : {2, 4})
+            EXPECT_EQ(sizeJobsAt(*model, 2, max_size, jobs), serial)
+                << name << " at --jobs " << jobs;
+    }
+}
+
+TEST(ParallelWitnessTest, BudgetCutShardsMatchAcrossJobCounts)
+{
+    // The budgets of SynthesizerTest.BudgetCutShardsAreTruncatedOrExact.
+    // The witness stage has a budget of its own per track, so where a
+    // cut lands does not depend on how witness and enumeration solves
+    // interleave. Sizes 2 and 3 make two jobs, so --jobs 4 has a pool.
+    auto scc = mm::makeModel("scc");
+    size_t cut = 0;
+    for (uint64_t budget = 1; budget <= 120; budget += 7) {
+        std::string serial = sizeJobsAt(*scc, 2, 3, 1, budget);
+        if (serial.find(" truncated") != std::string::npos)
+            cut++;
+        EXPECT_EQ(sizeJobsAt(*scc, 2, 3, 4, budget), serial)
+            << "budget " << budget;
+    }
+    EXPECT_GT(cut, 0u);
 }
 
 /** Hand-built MP (the Table 4 shape) for the union regression tests. */
