@@ -43,16 +43,14 @@ main(int argc, char **argv)
     {
         const char *name;
         bool block_static;
-        bool use_canon;
-        litmus::CanonMode mode;
+        litmus::CanonMode canon;
     };
     const Config configs[] = {
-        {"static-block + paper-canon (default)", true, true,
+        {"static-block + paper-canon (default)", true,
          litmus::CanonMode::Paper},
-        {"static-block + exact-canon", true, true,
-         litmus::CanonMode::Exact},
-        {"static-block + no-canon", true, false, litmus::CanonMode::Paper},
-        {"full-instance-block + paper-canon", false, true,
+        {"static-block + exact-canon", true, litmus::CanonMode::Exact},
+        {"static-block + no-canon", true, litmus::CanonMode::Off},
+        {"full-instance-block + paper-canon", false,
          litmus::CanonMode::Paper},
     };
 
@@ -65,8 +63,7 @@ main(int argc, char **argv)
         opt.minSize = 2;
         opt.maxSize = max_size;
         opt.blockStaticOnly = config.block_static;
-        opt.useCanon = config.use_canon;
-        opt.canonMode = config.mode;
+        opt.canon = config.canon;
         Timer timer;
         synth::Suite suite = synth::synthesizeAxiom(*model, axiom, opt);
         char buf[32];

@@ -35,9 +35,9 @@ main(int argc, char **argv)
     synth::SynthOptions paper_opt;
     paper_opt.minSize = size;
     paper_opt.maxSize = size;
-    paper_opt.canonMode = litmus::CanonMode::Paper;
+    paper_opt.canon = litmus::CanonMode::Paper;
     synth::SynthOptions exact_opt = paper_opt;
-    exact_opt.canonMode = litmus::CanonMode::Exact;
+    exact_opt.canon = litmus::CanonMode::Exact;
 
     synth::Suite paper_suite =
         synth::synthesizeAxiom(*tso, "causality", paper_opt);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "common/hash.hh"
@@ -300,9 +302,31 @@ fullSerialize(const LitmusTest &test)
     return s;
 }
 
+/** Indexed by CanonMode. */
+constexpr const char *kCanonModeNames[] = {"paper", "exact", "off"};
+
+const char *
+canonModeName(CanonMode mode)
+{
+    return kCanonModeNames[static_cast<int>(mode)];
+}
+
+CanonMode
+parseCanonMode(std::string_view name)
+{
+    for (size_t i = 0; i < std::size(kCanonModeNames); i++) {
+        if (name == kCanonModeNames[i])
+            return static_cast<CanonMode>(i);
+    }
+    throw std::runtime_error("unknown canon mode '" + std::string(name) +
+                             "' (paper|exact|off)");
+}
+
 LitmusTest
 canonicalize(const LitmusTest &test, CanonMode mode)
 {
+    if (mode == CanonMode::Off)
+        return test;
     if (mode == CanonMode::Paper) {
         // Sort threads by their local signature; ties keep input order,
         // which is exactly the WWC blind spot of Figure 14. One thread

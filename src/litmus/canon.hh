@@ -20,6 +20,8 @@
  *    deterministic address renaming per permutation), picking the
  *    lexicographically least serialization. This is the "enhanced
  *    canonicalizer" the paper leaves as future work; it merges WWC.
+ *
+ *  - Off: the identity, for the no-symmetry-reduction ablation.
  */
 
 #ifndef LTS_LITMUS_CANON_HH
@@ -27,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "litmus/test.hh"
 
@@ -38,12 +41,23 @@ enum class CanonMode
 {
     Paper,
     Exact,
+    Off,
 };
+
+/** "paper" / "exact" / "off": the --canon flag's vocabulary. */
+const char *canonModeName(CanonMode mode);
+
+/**
+ * The mode canonModeName(mode) names. Throws std::runtime_error on any
+ * other text, so a flag or wire value never falls back to a default.
+ */
+CanonMode parseCanonMode(std::string_view name);
 
 /**
  * Return the canonical representative of @p test's symmetry class:
  * threads reordered, addresses renamed, events renumbered, and all
  * relations (including any forbidden outcome) remapped accordingly.
+ * CanonMode::Off returns @p test unchanged.
  */
 LitmusTest canonicalize(const LitmusTest &test, CanonMode mode);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * The content-addressed suite store (the persistence layer behind ltsd
- * and `ltsgen query`).
+ * and `ltsgen synth --store`).
  *
  * A SuiteStore is a single log-structured segment file plus an in-memory
  * index rebuilt by scanning it on open. Values are canonical suite/shard

@@ -406,10 +406,7 @@ explicitSynthesizeAxiom(const mm::Model &model, const std::string &axiom_name,
                 with_outcome.hasForbidden = true;
                 with_outcome.forbidden = outcome;
                 LitmusTest canon =
-                    options.useCanon
-                        ? litmus::canonicalize(with_outcome,
-                                               options.canonMode)
-                        : with_outcome;
+                    litmus::canonicalize(with_outcome, options.canon);
                 std::string key = litmus::staticSerialize(canon);
                 if (!seen.count(key)) {
                     seen.insert(key);

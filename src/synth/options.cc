@@ -1,7 +1,5 @@
 #include "synth/options.hh"
 
-#include <stdexcept>
-
 namespace lts::synth
 {
 
@@ -56,12 +54,7 @@ synthOptionsFromFlags(const Flags &flags)
     SynthOptions opt;
     opt.minSize = flags.getInt("min-size");
     opt.maxSize = flags.getInt("max-size");
-    const std::string &canon = flags.get("canon");
-    if (canon != "paper" && canon != "exact" && canon != "off")
-        throw std::invalid_argument("unknown --canon value: " + canon);
-    opt.useCanon = canon != "off";
-    opt.canonMode = canon == "exact" ? litmus::CanonMode::Exact
-                                     : litmus::CanonMode::Paper;
+    opt.canon = litmus::parseCanonMode(flags.get("canon"));
     opt.blockStaticOnly = flags.getBool("block-static");
     opt.conflictBudget = flags.getUint64("conflict-budget");
     opt.maxTestsPerSize = flags.getInt("max-tests-per-size");

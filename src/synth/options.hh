@@ -25,8 +25,8 @@ const std::vector<FlagSpec> &synthFlagSpecs();
 void declareSynthFlags(Flags &flags);
 
 /**
- * Build a SynthOptions from parsed flags (progress is left null).
- * Throws std::invalid_argument on an unrecognized --canon value.
+ * Build a SynthOptions from parsed flags.
+ * Throws std::runtime_error on an unrecognized --canon value.
  */
 SynthOptions synthOptionsFromFlags(const Flags &flags);
 

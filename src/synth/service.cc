@@ -30,15 +30,6 @@ hex16(uint64_t h)
     return buf;
 }
 
-/** "paper" / "exact" / "off" — the --canon flag's vocabulary. */
-std::string
-canonName(const SynthOptions &options)
-{
-    if (!options.useCanon)
-        return "off";
-    return options.canonMode == litmus::CanonMode::Exact ? "exact" : "paper";
-}
-
 /** Content digest of a proof file's bytes; empty when unreadable. */
 std::string
 proofFileDigest(const std::string &path)
@@ -343,7 +334,8 @@ optionsDigest(const SynthOptions &options)
 {
     uint64_t h = hashInit();
     h = hashCombine(h, std::string_view(kServiceFormat));
-    h = hashCombine(h, std::string_view(canonName(options)));
+    h = hashCombine(h,
+                    std::string_view(litmus::canonModeName(options.canon)));
     h = hashCombine(h, static_cast<uint64_t>(options.blockStaticOnly));
     h = hashCombine(h, options.conflictBudget);
     h = hashCombine(h, static_cast<uint64_t>(options.maxTestsPerSize));
@@ -385,7 +377,7 @@ serializeSuiteRequest(const SuiteRequest &request)
         << "\n";
     out << "maxsize " << request.maxSize << "\n";
     out << "minsize " << o.minSize << "\n";
-    out << "canon " << canonName(o) << "\n";
+    out << "canon " << litmus::canonModeName(o.canon) << "\n";
     out << "blockstatic " << (o.blockStaticOnly ? 1 : 0) << "\n";
     out << "budget " << o.conflictBudget << "\n";
     out << "maxtests " << o.maxTestsPerSize << "\n";
@@ -417,10 +409,7 @@ parseSuiteRequest(const std::string &text)
             "service: sizes " + std::to_string(o.minSize) + ".." +
             std::to_string(o.maxSize) + " not within 0 <= min <= max <= 7");
     }
-    std::string canon = r.text("canon");
-    o.useCanon = canon != "off";
-    o.canonMode = canon == "exact" ? litmus::CanonMode::Exact
-                                   : litmus::CanonMode::Paper;
+    o.canon = litmus::parseCanonMode(r.field("canon"));
     o.blockStaticOnly = r.u64("blockstatic") != 0;
     o.conflictBudget = r.u64("budget");
     o.maxTestsPerSize = r.i32("maxtests");

@@ -58,7 +58,7 @@ inline constexpr const char *kServiceFormat = "lts-svc-v1";
 
 /**
  * Digest of the semantic synthesis knobs (the ones that change suite
- * bytes): canon mode, useCanon, blockStaticOnly, conflictBudget,
+ * bytes): canon, blockStaticOnly, conflictBudget,
  * maxTestsPerSize. 16 hex digits, restart-stable.
  */
 std::string optionsDigest(const SynthOptions &options);

@@ -222,12 +222,9 @@ class WitnessQueue
                 resolved =
                     job.solver->pinAndMinimize(job.pin, s.pinned, s.work);
                 if (resolved) {
-                    LitmusTest found =
-                        mm::fromInstance(s.model, job.solver->instance());
-                    *job.out = s.options.useCanon
-                                   ? litmus::canonicalize(
-                                         found, s.options.canonMode)
-                                   : std::move(found);
+                    *job.out = litmus::canonicalize(
+                        mm::fromInstance(s.model, job.solver->instance()),
+                        s.options.canon);
                 }
             } catch (...) {
                 failed = std::current_exception();
@@ -275,14 +272,12 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
     ShardResult result;
     size_t n = solver.encoder().universe();
     bool static_mode = !block_vars.empty();
-    bool exact_canon =
-        options.useCanon && options.canonMode == litmus::CanonMode::Exact;
+    bool exact_canon = options.canon == litmus::CanonMode::Exact;
 
     rel::FactHandle block_layer = solver.newLayer();
 
     auto canonOf = [&](const LitmusTest &t) {
-        return options.useCanon ? litmus::canonicalize(t, options.canonMode)
-                                : t;
+        return litmus::canonicalize(t, options.canon);
     };
 
     // Canonical static key -> (full serialization, test). Keyed by map so
@@ -334,7 +329,7 @@ enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
                 std::string exact_key;
                 if (exact_canon) {
                     exact_key = litmus::staticSerialize(
-                        litmus::canonicalize(found, options.canonMode));
+                        litmus::canonicalize(found, options.canon));
                 }
                 for (const LitmusTest &arr : arrs) {
                     arr_static.push_back(litmus::staticSerialize(arr));
@@ -686,10 +681,7 @@ unionSuites(const std::vector<Suite> &suites, const SynthOptions &options)
         u.rawInstances += s.rawInstances;
         u.truncated = u.truncated || s.truncated;
         for (const auto &test : s.tests) {
-            LitmusTest canon = options.useCanon
-                                   ? litmus::canonicalize(test,
-                                                          options.canonMode)
-                                   : test;
+            LitmusTest canon = litmus::canonicalize(test, options.canon);
             if (!seen.insert(litmus::staticSerialize(canon)).second)
                 continue;
             canon.name = prefix + std::to_string(u.tests.size());

@@ -76,9 +76,9 @@ struct SynthOptions
 {
     int minSize = 2;           ///< smallest test size (instructions)
     int maxSize = 4;           ///< largest test size
-    litmus::CanonMode canonMode = litmus::CanonMode::Paper;
+    /** Canonicalizer; Off is the no-symmetry-reduction ablation. */
+    litmus::CanonMode canon = litmus::CanonMode::Paper;
     bool blockStaticOnly = true;  ///< ablation: block full instances instead
-    bool useCanon = true;         ///< ablation: disable symmetry reduction
     /**
      * SAT conflict cap per (axiom, size) query family (0 = off). The
      * family's enumeration solves and its witness solves each get the
@@ -266,7 +266,7 @@ std::vector<Suite> synthesizeAll(const mm::Model &model,
 
 /**
  * Merge suites into a union suite, deduplicating canonically. The kept
- * tests are stored in canonical form (under options.useCanon) and
+ * tests are stored in canonical form (under options.canon) and
  * renumbered "model/union#i" in merge order, so the union never holds
  * non-canonical duplicates or clashing per-axiom names.
  */

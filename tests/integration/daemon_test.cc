@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 
 #include "litmus/canon.hh"
 #include "mm/registry.hh"
+#include "store/wire.hh"
 #include "synth/daemon.hh"
 #include "synth/service.hh"
 #include "synth/synthesizer.hh"
@@ -26,6 +30,32 @@ namespace fs = std::filesystem;
 
 namespace
 {
+
+/**
+ * Send @p payload as one Request frame, raw, and return the frame that
+ * ends the exchange: a client that does not go through
+ * serializeSuiteRequest can put any text on the wire.
+ */
+store::Frame
+rawRequest(const std::string &socket_path, const std::string &payload)
+{
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socket_path.c_str(),
+                 sizeof addr.sun_path - 1);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    EXPECT_TRUE(store::writeFrame(fd, store::FrameType::Request, payload));
+    store::Frame frame;
+    while (store::readFrame(fd, frame) &&
+           frame.type == store::FrameType::Progress) {
+    }
+    ::close(fd);
+    return frame;
+}
 
 class DaemonTest : public ::testing::Test
 {
@@ -192,8 +222,17 @@ TEST_F(DaemonTest, RejectsOutOfRangeSizes)
             << e.what();
     }
 
-    // The same daemon answers an in-range request normally.
+    // A canon value outside paper|exact|off is refused the same way,
+    // not read as paper.
     request.maxSize = 3;
+    std::string payload = synth::serializeSuiteRequest(request);
+    payload.replace(payload.find("canon paper"), 11, "canon bogus");
+    store::Frame reply = rawRequest(config.socketPath, payload);
+    EXPECT_EQ(reply.type, store::FrameType::Error);
+    EXPECT_NE(reply.payload.find("bogus"), std::string::npos)
+        << reply.payload;
+
+    // The same daemon answers an in-range request normally.
     synth::SuiteResult result =
         synth::queryDaemon(config.socketPath, request);
     EXPECT_FALSE(result.unionSuite().tests.empty());

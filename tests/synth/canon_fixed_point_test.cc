@@ -92,7 +92,7 @@ registrySuites(CanonMode mode)
         auto model = mm::makeModel(name);
         SynthOptions options;
         options.maxSize = name == "power" || name == "sscc" ? 3 : 4;
-        options.canonMode = mode;
+        options.canon = mode;
         options.jobs = 0;
         std::vector<Suite> suites = synthesizeAll(*model, options);
         suites.pop_back(); // the union

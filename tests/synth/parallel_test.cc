@@ -274,7 +274,7 @@ TEST(UnionSuitesTest, StoresCanonicalFormAndRenumbers)
     swapped.name = "tso/other#0";
     b.tests.push_back(swapped);
 
-    SynthOptions opt; // useCanon = true, paper mode
+    SynthOptions opt; // paper canonicalizer
     Suite u = unionSuites({a, b}, opt);
 
     // The symmetric copies merge, the stored test is the canonical
@@ -304,7 +304,7 @@ TEST(UnionSuitesTest, RenumbersSequentiallyAcrossSuites)
         // a no-op on the serialized form.
         EXPECT_EQ(litmus::staticSerialize(u.tests[i]),
                   litmus::staticSerialize(litmus::canonicalize(
-                      u.tests[i], opt.canonMode)));
+                      u.tests[i], opt.canon)));
     }
 }
 

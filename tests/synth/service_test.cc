@@ -510,7 +510,7 @@ TEST_F(ServiceTest, OptionsDigestIgnoresEngineKnobs)
     EXPECT_EQ(synth::optionsDigest(semantic), synth::optionsDigest(engine));
 
     synth::SynthOptions canon_off = semantic;
-    canon_off.useCanon = false;
+    canon_off.canon = litmus::CanonMode::Off;
     EXPECT_NE(synth::optionsDigest(semantic),
               synth::optionsDigest(canon_off));
 
@@ -544,7 +544,7 @@ TEST_F(ServiceTest, RequestPayloadRoundTrips)
     request.axiom = "sc";
     request.maxSize = 5;
     request.options.minSize = 3;
-    request.options.useCanon = false;
+    request.options.canon = litmus::CanonMode::Off;
     request.options.jobs = 4;
     request.options.symmetryBreaking = false;
     request.options.simplify = false;
@@ -556,7 +556,7 @@ TEST_F(ServiceTest, RequestPayloadRoundTrips)
     EXPECT_EQ(back.axiom, request.axiom);
     EXPECT_EQ(back.maxSize, request.maxSize);
     EXPECT_EQ(back.options.minSize, request.options.minSize);
-    EXPECT_EQ(back.options.useCanon, request.options.useCanon);
+    EXPECT_EQ(back.options.canon, request.options.canon);
     EXPECT_EQ(back.options.jobs, request.options.jobs);
     EXPECT_EQ(back.options.symmetryBreaking,
               request.options.symmetryBreaking);
@@ -583,6 +583,11 @@ TEST_F(ServiceTest, RequestPayloadRejectsOutOfRangeSizes)
                  std::runtime_error);
     EXPECT_THROW(synth::parseSuiteRequest(payload(2, 8)),
                  std::runtime_error);
+    // So is a canon value outside paper|exact|off, rather than read as
+    // paper.
+    std::string bogus = payload(2, 4);
+    bogus.replace(bogus.find("canon paper"), 11, "canon bogus");
+    EXPECT_THROW(synth::parseSuiteRequest(bogus), std::runtime_error);
 }
 
 TEST_F(ServiceTest, ResultPayloadRoundTrips)

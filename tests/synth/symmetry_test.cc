@@ -115,9 +115,9 @@ TEST(SynthSymmetryTest, AblationsIdenticalAcrossSbp)
         opt.minSize = 2;
         opt.maxSize = 3;
         if (mode == 0) {
-            opt.canonMode = litmus::CanonMode::Exact;
+            opt.canon = litmus::CanonMode::Exact;
         } else if (mode == 1) {
-            opt.useCanon = false;
+            opt.canon = litmus::CanonMode::Off;
         } else {
             opt.blockStaticOnly = false;
         }

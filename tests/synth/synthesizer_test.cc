@@ -334,9 +334,9 @@ TEST(WwcSymmetryTest, PaperCanonEmitsTwoWwcVariantsExactEmitsOne)
     SynthOptions paper_opt;
     paper_opt.minSize = 5;
     paper_opt.maxSize = 5;
-    paper_opt.canonMode = CanonMode::Paper;
+    paper_opt.canon = CanonMode::Paper;
     SynthOptions exact_opt = paper_opt;
-    exact_opt.canonMode = CanonMode::Exact;
+    exact_opt.canon = CanonMode::Exact;
 
     Suite paper_suite = synthesizeAxiom(*tso, "causality", paper_opt);
     Suite exact_suite = synthesizeAxiom(*tso, "causality", exact_opt);

@@ -1,4 +1,4 @@
-# Interop round trip: synthesize a suite, export it as herd7 .litmus
+# Interop round trip: synthesize a suite, emit it as herd7 .litmus
 # files, re-import the directory, and demand the interchange forms agree
 # byte for byte. Then compile one emitted C++11 stress harness and run
 # it: the forbidden outcome must not be observed (exit 0).
@@ -29,10 +29,31 @@ execute_process(
     RESULT_VARIABLE diff_result)
 if(NOT diff_result EQUAL 0)
     message(FATAL_ERROR
-            "export -> import round trip is not byte-identical")
+            "emit -> import round trip is not byte-identical")
 endif()
 
-# The exported .litmus directory must also audit clean as-is (format
+# import converts an interchange suite to files with the same emit flags
+# synth takes: every file and the @all index must match synth's.
+execute_process(
+    COMMAND ${LTSGEN} import --in=${WORKDIR}/interop_orig.litmus
+            --emit-litmus=${WORKDIR}/interop_relit
+    RESULT_VARIABLE relit_result)
+if(NOT relit_result EQUAL 0)
+    message(FATAL_ERROR "ltsgen import --emit-litmus failed: ${relit_result}")
+endif()
+file(STRINGS ${WORKDIR}/interop_lit/@all lit_files)
+foreach(name @all ${lit_files})
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                ${WORKDIR}/interop_lit/${name} ${WORKDIR}/interop_relit/${name}
+        RESULT_VARIABLE relit_diff)
+    if(NOT relit_diff EQUAL 0)
+        message(FATAL_ERROR
+                "import --emit-litmus wrote a different ${name} than synth")
+    endif()
+endforeach()
+
+# The emitted .litmus directory must also audit clean as-is (format
 # auto-detection: herd files, not interchange).
 execute_process(
     COMMAND ${LTSGEN} audit --model=tso --in=${WORKDIR}/interop_lit
@@ -41,7 +62,7 @@ execute_process(
     RESULT_VARIABLE audit_result)
 if(NOT audit_result EQUAL 0)
     message(FATAL_ERROR
-            "strict audit of exported .litmus files exited ${audit_result}")
+            "strict audit of emitted .litmus files exited ${audit_result}")
 endif()
 
 # Build and run one harness. Any test works; pick the first index entry.

@@ -6,7 +6,7 @@
  * (daemon mode; registry models stay resident in every Service), and
  * answers repeat SuiteRequests from memory or the content-addressed
  * suite store (synth/service.hh). Clients are
- * `ltsgen query --socket=...` or anything speaking the frame protocol
+ * `ltsgen synth --socket=...` or anything speaking the frame protocol
  * of store/wire.hh.
  *
  *   ltsd --socket=/tmp/ltsd.sock --store=~/.lts-store   # serve

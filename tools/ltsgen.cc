@@ -2,12 +2,12 @@
  * @file
  * ltsgen — the command-line front end to the synthesis service.
  *
- * Subcommand surface (every path goes through synth::Service, so the
- * store and daemon answer the same bytes the engines produce):
+ * Subcommand surface (synth and bench answer through synth::Service,
+ * in process or in the ltsd at --socket, so the store and the daemon
+ * answer the same bytes the engines produce; both take one flag table):
  *
- *   ltsgen synth  --model=tso --max-size=5 [--store=DIR]   # synthesize
- *   ltsgen query  --model=tso [--store=DIR | --socket=S]   # cached query
- *   ltsgen export --in=suite.txt --litmus=out/ [--cxx=out/]
+ *   ltsgen synth  --model=tso --max-size=5 [--store=DIR | --socket=S]
+ *   ltsgen import --in=suite.txt --emit-litmus=out/ [--emit-cxx=out/]
  *   ltsgen import --in=out/ --out=suite.txt                # .litmus -> text
  *   ltsgen audit  --model=tso --in=suite.litmus [--strict]
  *   ltsgen bench  --model=tso --json=BENCH_tso.json
@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -67,7 +66,7 @@ looksLikeInterchange(const std::string &text)
 /**
  * Load tests from @p path: an interchange suite, a single .litmus file
  * (format auto-detected), or a directory of .litmus files (sorted by
- * name, so the NNN_ prefixes `ltsgen export` writes preserve order).
+ * name, so the NNN_ prefixes --emit-litmus writes preserve order).
  */
 bool
 loadTests(const std::string &path, std::vector<litmus::LitmusTest> &out)
@@ -196,139 +195,41 @@ writeSuiteText(const std::vector<litmus::LitmusTest> &tests,
 
 // --- shared verb cores -------------------------------------------------------
 
-struct EmitSpec
+/** Declare the emit flags synth, bench and import share. */
+void
+declareEmitFlags(Flags &flags)
 {
-    std::string out = "-";
-    std::string litmusDir;
-    std::string cxxDir;
-    bool pretty = false;
-};
+    flags.declare("out", "-", "output file ('-' = stdout, '' = none)");
+    flags.declare("pretty", "false",
+                  "print human-readable tables instead of .litmus text");
+    flags.declare("emit-litmus", "",
+                  "also write each test as a herd7 NNN_name.litmus file "
+                  "into this directory (plus an @all index)");
+    flags.declare("emit-cxx", "",
+                  "also write each test as a self-contained C++11 stress "
+                  "harness NNN_name.cc into this directory");
+}
 
-/** Emit @p tests per the spec; per-file emission mutes the stdout dump
- *  unless --out was set explicitly (the historical behavior). */
+/** Emit @p tests per the emit flags. An empty --out writes no suite
+ *  text, and per-file emission mutes the stdout dump unless --out was
+ *  set explicitly. */
 int
 emitTests(const std::vector<litmus::LitmusTest> &tests,
-          const std::string &model_name, const EmitSpec &spec)
+          const std::string &model_name, const Flags &flags)
 {
     bool emitted = false;
-    if (!spec.litmusDir.empty()) {
-        if (!emitSuiteFiles(tests, spec.litmusDir, false, model_name))
-            return 1;
-        emitted = true;
-    }
-    if (!spec.cxxDir.empty()) {
-        if (!emitSuiteFiles(tests, spec.cxxDir, true, model_name))
-            return 1;
-        emitted = true;
-    }
-    if (emitted && spec.out == "-")
-        return 0;
-    return writeSuiteText(tests, spec.out, spec.pretty) ? 0 : 1;
-}
-
-int
-doAudit(const std::string &model_name, const std::string &path, bool strict)
-{
-    std::unique_ptr<mm::Model> model;
-    try {
-        model = mm::makeModel(model_name);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "ltsgen: %s\n", e.what());
-        return 1;
-    }
-    std::vector<litmus::LitmusTest> tests;
-    if (!loadTests(path, tests))
-        return 1;
-    int redundant = 0;
-    int unsupported = 0;
-    for (const auto &t : tests) {
-        synth::AuditStatus status;
-        std::vector<std::string> axioms;
-        try {
-            axioms = synth::minimalAxioms(*model, t, &status);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "ltsgen: %s: %s\n", t.name.c_str(),
-                         e.what());
-            return 1;
-        }
-        if (status == synth::AuditStatus::Unsupported) {
-            // Not a minimality verdict: the lone-sc workaround cannot
-            // audit tests with more than two SC fences.
-            std::printf("%-24s UNSUPPORTED (more than two SC fences)\n",
-                        t.name.c_str());
-            unsupported++;
+    for (bool cxx : {false, true}) {
+        const std::string &dir = flags.get(cxx ? "emit-cxx" : "emit-litmus");
+        if (dir.empty())
             continue;
-        }
-        std::printf("%-24s %s", t.name.c_str(),
-                    axioms.empty() ? "NOT-MINIMAL" : "minimal:");
-        for (const auto &a : axioms)
-            std::printf(" %s", a.c_str());
-        std::printf("\n");
-        if (axioms.empty())
-            redundant++;
+        if (!emitSuiteFiles(tests, dir, cxx, model_name))
+            return 1;
+        emitted = true;
     }
-    std::printf("%d/%zu tests are not minimally synchronized under %s\n",
-                redundant, tests.size(), model->name().c_str());
-    if (unsupported) {
-        std::printf("%d tests could not be audited (unsupported SC-fence "
-                    "configuration)\n",
-                    unsupported);
-    }
-    if (strict) {
-        // Unsupported outranks not-minimal: "could not check" must never
-        // read as a (failed or passed) minimality verdict.
-        if (unsupported)
-            return kExitUnsupported;
-        if (redundant)
-            return kExitNotMinimal;
-    }
-    return 0;
-}
-
-int
-doImport(const std::string &in_path, const EmitSpec &spec,
-         const std::string &model_name)
-{
-    std::vector<litmus::LitmusTest> tests;
-    if (!loadTests(in_path, tests))
-        return 1;
-    return emitTests(tests, model_name, spec);
-}
-
-/** Summarize a service result on stderr (the --stats surface). */
-void
-printResultStats(const synth::SuiteResult &result, double wall_seconds)
-{
-    const synth::Suite &suite = result.unionSuite();
-    std::fprintf(stderr,
-                 "model=%s axiom=%s: %zu tests, wall %.2fs, cpu %.2fs\n",
-                 suite.model.c_str(), suite.axiom.c_str(),
-                 suite.tests.size(), wall_seconds, suite.totalSeconds());
-    for (auto [size, count] : suite.testsBySize) {
-        std::fprintf(stderr, "  size %d: %d tests (%.3fs)%s\n", size, count,
-                     suite.secondsBySize.count(size)
-                         ? suite.secondsBySize.at(size)
-                         : 0.0,
-                     suite.truncated ? " [truncated]" : "");
-    }
-    const synth::SynthProgressSnapshot &p = result.progress;
-    std::fprintf(stderr,
-                 "  jobs: %llu; %llu SAT conflicts, %llu instances "
-                 "enumerated\n",
-                 static_cast<unsigned long long>(p.jobsQueued),
-                 static_cast<unsigned long long>(p.conflicts),
-                 static_cast<unsigned long long>(p.instances));
-    std::fprintf(stderr,
-                 "  solver: %llu restarts; simplify removed %llu vars, "
-                 "%llu clauses\n",
-                 static_cast<unsigned long long>(p.restarts),
-                 static_cast<unsigned long long>(p.eliminatedVars),
-                 static_cast<unsigned long long>(p.subsumedClauses));
-    std::fprintf(stderr, "  suite: %s\n", result.suiteDigest.c_str());
-    std::fprintf(stderr, "  cache: %s (%llu shards cached, %llu synthesized)\n",
-                 synth::toString(result.cache).c_str(),
-                 static_cast<unsigned long long>(result.shardsCached),
-                 static_cast<unsigned long long>(result.shardsSynthesized));
+    const std::string &out = flags.get("out");
+    if (out.empty() || (emitted && out == "-"))
+        return 0;
+    return writeSuiteText(tests, out, flags.getBool("pretty")) ? 0 : 1;
 }
 
 /** Build a SuiteRequest from parsed flags (model/axiom/synth knobs). */
@@ -392,27 +293,84 @@ checkProofDir(const std::string &dir)
     return bad;
 }
 
+/** Removes a scratch directory when the verb returns, however it does. */
+struct ScratchDir
+{
+    std::filesystem::path path;
+
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        if (!path.empty())
+            std::filesystem::remove_all(path, ec);
+    }
+};
+
+/**
+ * Report an answered request on stderr, one key per line so scripts can
+ * grep it (CI asserts on "suite:", "cache: hit" and "shards: ... 0
+ * synthesized"). With @p stats it adds the per-size rows and the work
+ * the solvers did.
+ */
+void
+printSummary(const synth::SuiteRequest &request,
+             const synth::SuiteResult &result, double wall_seconds,
+             bool stats)
+{
+    const synth::Suite &suite = result.unionSuite();
+    std::fprintf(stderr, "model: %s\n", request.model.c_str());
+    std::fprintf(stderr, "bound: %d\n", request.maxSize);
+    std::fprintf(stderr, "suite: %s\n", result.suiteDigest.c_str());
+    std::fprintf(stderr, "cache: %s\n",
+                 synth::toString(result.cache).c_str());
+    std::fprintf(stderr, "shards: %llu cached, %llu synthesized\n",
+                 static_cast<unsigned long long>(result.shardsCached),
+                 static_cast<unsigned long long>(result.shardsSynthesized));
+    std::fprintf(stderr, "tests: %zu%s\n", suite.tests.size(),
+                 suite.truncated ? " [truncated]" : "");
+    std::fprintf(stderr, "wall: %.6f\n", wall_seconds);
+    if (!stats)
+        return;
+    for (auto [size, count] : suite.testsBySize) {
+        auto secs = suite.secondsBySize.find(size);
+        std::fprintf(stderr, "  size %d: %d tests (%.3fs)\n", size, count,
+                     secs == suite.secondsBySize.end() ? 0.0 : secs->second);
+    }
+    const synth::SynthProgressSnapshot &p = result.progress;
+    std::fprintf(stderr,
+                 "  cpu %.2fs; jobs: %llu; %llu SAT conflicts, %llu "
+                 "instances enumerated\n",
+                 suite.totalSeconds(),
+                 static_cast<unsigned long long>(p.jobsQueued),
+                 static_cast<unsigned long long>(p.conflicts),
+                 static_cast<unsigned long long>(p.instances));
+    std::fprintf(stderr,
+                 "  solver: %llu restarts; simplify removed %llu vars, "
+                 "%llu clauses\n",
+                 static_cast<unsigned long long>(p.restarts),
+                 static_cast<unsigned long long>(p.eliminatedVars),
+                 static_cast<unsigned long long>(p.subsumedClauses));
+}
+
 // --- subcommands -------------------------------------------------------------
 
+/** The one flag table of synth and bench. */
 void
 declareSynthVerbFlags(Flags &flags)
 {
     flags.declare("model", "tso", "memory model: sc|tso|power|armv7|scc|c11");
     flags.declare("axiom", "union", "axiom to target, or 'union' for all");
     synth::declareSynthFlags(flags);
-    flags.declare("out", "-", "output file ('-' = stdout)");
-    flags.declare("stats", "false", "print per-size counts and runtimes");
-    flags.declare("pretty", "false",
-                  "print human-readable tables instead of .litmus text");
-    flags.declare("emit-litmus", "",
-                  "also write each test as a herd7 NNN_name.litmus file "
-                  "into this directory (plus an @all index)");
-    flags.declare("emit-cxx", "",
-                  "also write each test as a self-contained C++11 stress "
-                  "harness NNN_name.cc into this directory");
+    declareEmitFlags(flags);
+    flags.declare("stats", "false",
+                  "also print per-size counts, runtimes and solver work");
     flags.declare("store", "",
                   "content-addressed suite store directory; repeat "
                   "queries are answered from it byte-identically");
+    flags.declare("socket", "",
+                  "send the request to the ltsd listening on this socket "
+                  "instead of answering it in this process");
+    flags.declare("progress", "false", "stream progress lines to stderr");
     flags.declare("proof-check", "false",
                   "after synthesis, run the independent DRAT checker over "
                   "every proof in the --proof directory (a temporary "
@@ -420,24 +378,41 @@ declareSynthVerbFlags(Flags &flags)
                   "proof");
 }
 
+/**
+ * The query core of synth and bench: answer the request the flags
+ * describe (through the ltsd at --socket, or an in-process Service),
+ * emit the suite, print the summary, check the proofs, and, when
+ * @p json_path is set, record the run as BENCH_*.json.
+ */
 int
-cmdSynth(int argc, char **argv)
+runQuery(const Flags &flags, const std::string &json_path)
 {
-    Flags flags;
-    declareSynthVerbFlags(flags);
-    if (!flags.parse(argc, argv))
-        return 1;
-
     synth::SuiteRequest request;
     if (!requestFromFlags(flags, request))
         return 1;
-
     bool proof_check = flags.getBool("proof-check");
-    std::filesystem::path temp_proof_dir;
+    const std::string &socket = flags.get("socket");
+    if (!socket.empty()) {
+        // These act on this process's engine or disk, which a daemon
+        // query never reaches: refuse them rather than drop them.
+        const char *local = proof_check ? "proof-check" : nullptr;
+        for (const char *name : {"store", "proof", "dump-dimacs"}) {
+            if (!flags.get(name).empty())
+                local = name;
+        }
+        if (local) {
+            std::fprintf(stderr,
+                         "ltsgen: --%s cannot be honored with --socket\n",
+                         local);
+            return 1;
+        }
+    }
+
+    ScratchDir temp_proof_dir;
     if (proof_check && request.options.proofDir.empty()) {
-        temp_proof_dir = std::filesystem::temp_directory_path() /
-                         ("ltsgen-proof-" + std::to_string(::getpid()));
-        request.options.proofDir = temp_proof_dir.string();
+        temp_proof_dir.path = std::filesystem::temp_directory_path() /
+                              ("ltsgen-proof-" + std::to_string(::getpid()));
+        request.options.proofDir = temp_proof_dir.path.string();
     }
     std::error_code mk_ec;
     if (!request.options.proofDir.empty())
@@ -446,72 +421,6 @@ cmdSynth(int argc, char **argv)
         std::filesystem::create_directories(request.options.dumpDimacsDir,
                                             mk_ec);
     }
-
-    synth::ServiceConfig config;
-    config.storeDir = flags.get("store");
-    synth::Service service(config);
-
-    Timer wall;
-    synth::SuiteResult result;
-    try {
-        result = service.query(request);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "ltsgen: %s\n", e.what());
-        return 1;
-    }
-    const synth::Suite &suite = result.unionSuite();
-
-    EmitSpec spec;
-    spec.out = flags.get("out");
-    spec.litmusDir = flags.get("emit-litmus");
-    spec.cxxDir = flags.get("emit-cxx");
-    spec.pretty = flags.getBool("pretty");
-    int rc = emitTests(suite.tests, request.model, spec);
-    if (rc != 0)
-        return rc;
-
-    if (flags.getBool("stats"))
-        printResultStats(result, wall.seconds());
-
-    if (proof_check) {
-        std::fprintf(stderr, "ltsgen: checking proofs under %s\n",
-                     request.options.proofDir.c_str());
-        // Cache hits ran no solver and wrote no proof: there is nothing
-        // to check, but silently passing would overstate what was
-        // verified, so say so and fail.
-        int bad = checkProofDir(request.options.proofDir);
-        if (!temp_proof_dir.empty()) {
-            std::error_code rm_ec;
-            std::filesystem::remove_all(temp_proof_dir, rm_ec);
-        }
-        if (bad != 0) {
-            std::fprintf(stderr, "ltsgen: %d bad proof(s)\n", bad);
-            return 1;
-        }
-    }
-    return 0;
-}
-
-int
-cmdQuery(int argc, char **argv)
-{
-    Flags flags;
-    flags.declare("model", "tso", "memory model: sc|tso|power|armv7|scc|c11");
-    flags.declare("axiom", "union", "axiom to target, or 'union' for all");
-    synth::declareSynthFlags(flags);
-    flags.declare("store", "",
-                  "suite store directory (local mode; '' = no store)");
-    flags.declare("socket", "",
-                  "query a running ltsd on this socket instead of "
-                  "synthesizing locally");
-    flags.declare("out", "", "also write the suite here ('-' = stdout)");
-    flags.declare("progress", "false", "stream progress lines to stderr");
-    if (!flags.parse(argc, argv))
-        return 1;
-
-    synth::SuiteRequest request;
-    if (!requestFromFlags(flags, request))
-        return 1;
 
     synth::QueryProgressFn on_progress;
     if (flags.getBool("progress")) {
@@ -523,9 +432,8 @@ cmdQuery(int argc, char **argv)
     Timer wall;
     synth::SuiteResult result;
     try {
-        if (!flags.get("socket").empty()) {
-            result = synth::queryDaemon(flags.get("socket"), request,
-                                        on_progress);
+        if (!socket.empty()) {
+            result = synth::queryDaemon(socket, request, on_progress);
         } else {
             synth::ServiceConfig config;
             config.storeDir = flags.get("store");
@@ -536,48 +444,61 @@ cmdQuery(int argc, char **argv)
         std::fprintf(stderr, "ltsgen: %s\n", e.what());
         return 1;
     }
+    double wall_seconds = wall.seconds();
 
-    // One key per line, grep-friendly: the CI smoke job asserts on
-    // "suite:" (digest equality) and "cache: hit".
-    std::printf("model: %s\n", request.model.c_str());
-    std::printf("bound: %d\n", request.maxSize);
-    std::printf("suite: %s\n", result.suiteDigest.c_str());
-    std::printf("cache: %s\n", synth::toString(result.cache).c_str());
-    std::printf("shards: %llu cached, %llu synthesized\n",
-                static_cast<unsigned long long>(result.shardsCached),
-                static_cast<unsigned long long>(result.shardsSynthesized));
-    std::printf("tests: %zu\n", result.unionSuite().tests.size());
-    std::printf("wall: %.6f\n", wall.seconds());
+    int rc = emitTests(result.unionSuite().tests, request.model, flags);
+    if (rc != 0)
+        return rc;
+    printSummary(request, result, wall_seconds, flags.getBool("stats"));
 
-    if (!flags.get("out").empty()) {
-        if (!writeSuiteText(result.unionSuite().tests, flags.get("out"),
-                            false)) {
+    if (proof_check) {
+        std::fprintf(stderr, "ltsgen: checking proofs under %s\n",
+                     request.options.proofDir.c_str());
+        // Cache hits ran no solver and wrote no proof: there is nothing
+        // to check, but silently passing would overstate what was
+        // verified, so checkProofDir says so and fails.
+        int bad = checkProofDir(request.options.proofDir);
+        if (bad != 0) {
+            std::fprintf(stderr, "ltsgen: %d bad proof(s)\n", bad);
             return 1;
         }
+    }
+
+    if (!json_path.empty()) {
+        const synth::SynthOptions &opt = request.options;
+        std::string axiom = request.axiom.empty() ? "union" : request.axiom;
+        bench::writeBenchJson(json_path,
+                              "ltsgen-" + request.model + "-" + axiom,
+                              request.model, opt.minSize, opt.maxSize,
+                              {bench::modeRun(result, opt, wall_seconds)});
     }
     return 0;
 }
 
 int
-cmdExport(int argc, char **argv)
+cmdSynth(int argc, char **argv)
 {
     Flags flags;
-    flags.declare("model", "tso", "model name stamped into file headers");
-    flags.declare("in", "", "interchange suite (or .litmus file/dir) to read");
-    flags.declare("litmus", "", "write herd7 .litmus files into this dir");
-    flags.declare("cxx", "", "write C++11 stress harnesses into this dir");
+    declareSynthVerbFlags(flags);
     if (!flags.parse(argc, argv))
         return 1;
-    if (flags.get("in").empty() ||
-        (flags.get("litmus").empty() && flags.get("cxx").empty())) {
-        std::fprintf(stderr,
-                     "ltsgen export: need --in and --litmus or --cxx\n");
+    return runQuery(flags, "");
+}
+
+int
+cmdBench(int argc, char **argv)
+{
+    Flags flags;
+    declareSynthVerbFlags(flags);
+    flags.declare("out", "", "also write the suite here ('-' = stdout)");
+    flags.declare("json", "", "BENCH_*.json output path (required)");
+    if (!flags.parse(argc, argv))
+        return 1;
+    if (flags.get("json").empty()) {
+        std::fprintf(stderr, "ltsgen bench: need --json\n");
         return 1;
     }
-    EmitSpec spec;
-    spec.litmusDir = flags.get("litmus");
-    spec.cxxDir = flags.get("cxx");
-    return doImport(flags.get("in"), spec, flags.get("model"));
+    return runQuery(flags, flags.get("json"));
 }
 
 int
@@ -585,23 +506,20 @@ cmdImport(int argc, char **argv)
 {
     Flags flags;
     flags.declare("model", "tso", "model name stamped into emitted headers");
-    flags.declare("in", "", "file or directory of .litmus files to load");
-    flags.declare("out", "-", "interchange output ('-' = stdout)");
-    flags.declare("pretty", "false", "human-readable tables instead");
-    flags.declare("emit-litmus", "", "re-emit herd7 files into this dir");
-    flags.declare("emit-cxx", "", "re-emit C++11 harnesses into this dir");
+    flags.declare("in", "",
+                  "interchange suite, .litmus file, or directory of "
+                  ".litmus files to load");
+    declareEmitFlags(flags);
     if (!flags.parse(argc, argv))
         return 1;
     if (flags.get("in").empty()) {
         std::fprintf(stderr, "ltsgen import: need --in\n");
         return 1;
     }
-    EmitSpec spec;
-    spec.out = flags.get("out");
-    spec.litmusDir = flags.get("emit-litmus");
-    spec.cxxDir = flags.get("emit-cxx");
-    spec.pretty = flags.getBool("pretty");
-    return doImport(flags.get("in"), spec, flags.get("model"));
+    std::vector<litmus::LitmusTest> tests;
+    if (!loadTests(flags.get("in"), tests))
+        return 1;
+    return emitTests(tests, flags.get("model"), flags);
 }
 
 int
@@ -619,45 +537,59 @@ cmdAudit(int argc, char **argv)
         std::fprintf(stderr, "ltsgen audit: need --in\n");
         return 1;
     }
-    return doAudit(flags.get("model"), flags.get("in"),
-                   flags.getBool("strict"));
-}
-
-int
-cmdBench(int argc, char **argv)
-{
-    Flags flags;
-    flags.declare("model", "tso", "memory model to measure");
-    flags.declare("axiom", "union", "axiom to target, or 'union' for all");
-    synth::declareSynthFlags(flags);
-    flags.declare("store", "", "suite store directory ('' = no store)");
-    flags.declare("json", "", "BENCH_*.json output path (required)");
-    if (!flags.parse(argc, argv))
-        return 1;
-    if (flags.get("json").empty()) {
-        std::fprintf(stderr, "ltsgen bench: need --json\n");
-        return 1;
-    }
-    synth::SuiteRequest request;
-    if (!requestFromFlags(flags, request))
-        return 1;
-    synth::ServiceConfig config;
-    config.storeDir = flags.get("store");
-    synth::Service service(config);
-    Timer wall;
-    synth::SuiteResult result;
+    std::unique_ptr<mm::Model> model;
     try {
-        result = service.query(request);
+        model = mm::makeModel(flags.get("model"));
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ltsgen: %s\n", e.what());
         return 1;
     }
-    const synth::SynthOptions &opt = request.options;
-    std::string axiom = request.axiom.empty() ? "union" : request.axiom;
-    bench::writeBenchJson(flags.get("json"),
-                          "ltsgen-" + request.model + "-" + axiom,
-                          request.model, opt.minSize, opt.maxSize,
-                          {bench::modeRun(result, opt, wall.seconds())});
+    std::vector<litmus::LitmusTest> tests;
+    if (!loadTests(flags.get("in"), tests))
+        return 1;
+    int redundant = 0;
+    int unsupported = 0;
+    for (const auto &t : tests) {
+        synth::AuditStatus status;
+        std::vector<std::string> axioms;
+        try {
+            axioms = synth::minimalAxioms(*model, t, &status);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "ltsgen: %s: %s\n", t.name.c_str(),
+                         e.what());
+            return 1;
+        }
+        if (status == synth::AuditStatus::Unsupported) {
+            // Not a minimality verdict: the lone-sc workaround cannot
+            // audit tests with more than two SC fences.
+            std::printf("%-24s UNSUPPORTED (more than two SC fences)\n",
+                        t.name.c_str());
+            unsupported++;
+            continue;
+        }
+        std::printf("%-24s %s", t.name.c_str(),
+                    axioms.empty() ? "NOT-MINIMAL" : "minimal:");
+        for (const auto &a : axioms)
+            std::printf(" %s", a.c_str());
+        std::printf("\n");
+        if (axioms.empty())
+            redundant++;
+    }
+    std::printf("%d/%zu tests are not minimally synchronized under %s\n",
+                redundant, tests.size(), model->name().c_str());
+    if (unsupported) {
+        std::printf("%d tests could not be audited (unsupported SC-fence "
+                    "configuration)\n",
+                    unsupported);
+    }
+    if (flags.getBool("strict")) {
+        // Unsupported outranks not-minimal: "could not check" must never
+        // read as a (failed or passed) minimality verdict.
+        if (unsupported)
+            return kExitUnsupported;
+        if (redundant)
+            return kExitNotMinimal;
+    }
     return 0;
 }
 
@@ -667,12 +599,12 @@ usage()
     std::fprintf(
         stderr,
         "usage: ltsgen <verb> [flags]   (ltsgen <verb> --help for flags)\n"
-        "  synth   synthesize a suite (optionally store-backed)\n"
-        "  query   answer a suite request from store/daemon/synthesis\n"
-        "  export  interchange suite -> herd7 .litmus / C++11 harnesses\n"
-        "  import  .litmus files -> interchange suite\n"
+        "  synth   answer a suite request: synthesize, or read the store "
+        "or a daemon\n"
+        "  import  load .litmus files or a suite; re-emit as interchange, "
+        "herd7 or C++11\n"
         "  audit   check an existing suite for minimality\n"
-        "  bench   measure one synthesis run into BENCH_*.json\n");
+        "  bench   synth, and record the run into BENCH_*.json\n");
     return 1;
 }
 
@@ -686,10 +618,6 @@ main(int argc, char **argv)
         // Shift the verb out so each subcommand parses its own flags.
         if (verb == "synth")
             return cmdSynth(argc - 1, argv + 1);
-        if (verb == "query")
-            return cmdQuery(argc - 1, argv + 1);
-        if (verb == "export")
-            return cmdExport(argc - 1, argv + 1);
         if (verb == "import")
             return cmdImport(argc - 1, argv + 1);
         if (verb == "audit")

@@ -1,14 +1,15 @@
-# Cold-vs-warm query through the suite store: the second query of the
-# same (model, bound, options) must be answered entirely from the store
-# (cache: hit) with a byte-identical suite (same digest), and the store
-# itself must pass a read-only fsck and a compaction.
+# Cold-vs-warm `ltsgen synth` through the suite store: the second query
+# of the same (model, bound, options) must be answered entirely from the
+# store (cache: hit) with a byte-identical suite (same digest), and the
+# store itself must pass a read-only fsck and a compaction. The summary
+# lines (suite:, cache:, shards:) go to stderr.
 set(STORE ${WORKDIR}/query-store)
 file(REMOVE_RECURSE ${STORE})
 
 execute_process(
-    COMMAND ${LTSGEN} query --model=tso --max-size=3 --store=${STORE}
+    COMMAND ${LTSGEN} synth --model=tso --max-size=3 --store=${STORE}
             --out=${WORKDIR}/query-cold.litmus
-    OUTPUT_VARIABLE cold_output
+    ERROR_VARIABLE cold_output
     RESULT_VARIABLE cold_result)
 if(NOT cold_result EQUAL 0)
     message(FATAL_ERROR "cold query failed: ${cold_result}\n${cold_output}")
@@ -19,9 +20,9 @@ endif()
 string(REGEX MATCH "suite: [^\n]+" cold_digest "${cold_output}")
 
 execute_process(
-    COMMAND ${LTSGEN} query --model=tso --max-size=3 --store=${STORE}
+    COMMAND ${LTSGEN} synth --model=tso --max-size=3 --store=${STORE}
             --out=${WORKDIR}/query-warm.litmus
-    OUTPUT_VARIABLE warm_output
+    ERROR_VARIABLE warm_output
     RESULT_VARIABLE warm_result)
 if(NOT warm_result EQUAL 0)
     message(FATAL_ERROR "warm query failed: ${warm_result}\n${warm_output}")
@@ -61,8 +62,9 @@ if(NOT compact_result EQUAL 0)
     message(FATAL_ERROR "lts-store compact failed: ${compact_result}")
 endif()
 execute_process(
-    COMMAND ${LTSGEN} query --model=tso --max-size=3 --store=${STORE}
-    OUTPUT_VARIABLE post_output
+    COMMAND ${LTSGEN} synth --model=tso --max-size=3 --store=${STORE}
+    OUTPUT_QUIET
+    ERROR_VARIABLE post_output
     RESULT_VARIABLE post_result)
 if(NOT post_result EQUAL 0)
     message(FATAL_ERROR "post-compact query failed: ${post_result}")
